@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -27,66 +26,26 @@ from . import capacity as cap
 from . import montecarlo as mc
 from . import optics, states
 
-_PARAM_KEYS = (
-    "source.eps_theta_spin_deg",
-    "source.eps_phi_spin_deg",
-    "source.lambda_spin",
-    "source.eps_theta_orbit_deg",
-    "source.eps_phi_orbit_deg",
-    "source.lambda_orbit",
-    "gate.eps_H",
-    "gate.eps_V",
-    "gate.phi1_deg",
-    "gate.phi2_deg",
-    "accidentals.fraction",
-)
-
-_DEG = math.pi / 180.0
-
 _COUNTS_HEADER = ["sent"] + [l1.ascii + l2.ascii for l1, l2 in states.BELL_PAIRS]
 
-
-def _parse_key_value_file(text: str, valid_keys) -> dict:
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, value = (s.strip() for s in line.split("=", 1))
-        if key not in valid_keys:
-            raise ValueError(f"line {lineno}: unknown key {key!r}; "
-                             f"valid keys: {list(valid_keys)}")
-        values[key] = float(value)
-    return values
+_PARAMS_FILE_KEYS = dict.fromkeys((p.key for p in mc.PARAMS), float)
 
 
 def load_params(path) -> tuple:
-    """Read a flat key=value parameter file.
+    """Read a flat key=value parameter file with the keys of mc.PARAMS.
 
     Returns (SourceParams, GateParams, AccidentalModel); missing keys
     default to the ideal apparatus with no accidentals.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        values = _parse_key_value_file(fh.read(), _PARAM_KEYS)
-    source = states.SourceParams(
-        eps_theta_spin=values.get("source.eps_theta_spin_deg", 0.0) * _DEG,
-        eps_phi_spin=values.get("source.eps_phi_spin_deg", 0.0) * _DEG,
-        lambda_spin=values.get("source.lambda_spin", 0.0),
-        eps_theta_orbit=values.get("source.eps_theta_orbit_deg", 0.0) * _DEG,
-        eps_phi_orbit=values.get("source.eps_phi_orbit_deg", 0.0) * _DEG,
-        lambda_orbit=values.get("source.lambda_orbit", 0.0),
-    )
-    gate = optics.GateParams(
-        eps_H=values.get("gate.eps_H", 0.0),
-        eps_V=values.get("gate.eps_V", 0.0),
-        phi1=values.get("gate.phi1_deg", 0.0) * _DEG,
-        phi2=values.get("gate.phi2_deg", 0.0) * _DEG,
-    )
-    accidentals = optics.AccidentalModel(
-        fraction=values.get("accidentals.fraction", 0.0))
-    return source, gate, accidentals
+        text = fh.read()
+    try:
+        params = mc.ImperfectionParams.from_values(
+            mc.parse_key_values(text, _PARAMS_FILE_KEYS))
+        return (params.source_params(), params.gate_params(),
+                params.accidental_model())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def parse_counts_csv(text: str) -> np.ndarray:
@@ -413,7 +372,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="override the scenario seed")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads (any value gives identical results)")
+                   help="accepted for compatibility; iterations always run "
+                        "serially and any value gives identical results")
     p.add_argument("--format", choices=("json", "csv", "table"),
                    default="table")
     p.set_defaults(handler=_cmd_montecarlo)

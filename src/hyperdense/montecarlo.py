@@ -1,21 +1,20 @@
 """Monte Carlo propagation of apparatus imperfections to channel capacity.
 
-Each iteration draws the nine imperfection knobs from independent
+Each iteration draws the nine sampled knobs from independent
 normal distributions, builds the conditional-detection matrix and
 records its capacity and average success probability.  Draws come from
 a counter-based generator (Philox) keyed by (seed, iteration index), so
-iteration i produces the same values no matter how many workers run or
-in which order results arrive; aggregation reads a by-index array and
-is therefore order-insensitive.
+iteration i produces the same values whatever other iterations run.
 
-Angle parameters are specified in degrees (their customary lab unit)
-and converted to radians when states are built.
+PARAMS is the one table of knobs: file keys, record fields, groups and
+sampling clamps.  Angle parameters are specified in degrees (their
+customary lab unit) and converted to radians by
+ImperfectionParams.from_values.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,69 +36,96 @@ _MASK64 = (1 << 64) - 1
 IMPERFECTION_GROUPS = ("source-spin", "source-orbit", "pbs-crosstalk",
                        "accidentals")
 
-# Canonical parameter order; it fixes the random-stream layout, so new
-# parameters must only ever be appended.
-PARAM_NAMES = (
-    "source.eps_theta_spin_deg",
-    "source.eps_phi_spin_deg",
-    "source.lambda_spin",
-    "source.eps_theta_orbit_deg",
-    "source.eps_phi_orbit_deg",
-    "source.lambda_orbit",
-    "gate.eps_H",
-    "gate.eps_V",
-    "accidentals.fraction",
+
+@dataclass(frozen=True)
+class Param:
+    """One apparatus knob as it appears in parameter and scenario files.
+
+    A ``_deg`` suffix on the key means the file gives degrees; the record
+    field holds radians.  A group of None marks a knob that only
+    parameter files set and Monte Carlo never samples.  The clamp is the
+    physical sampling range: unitless weights stay in [0, 1], angles are
+    kept finite and well inside a single branch of the model.
+    """
+
+    key: str
+    field: str
+    group: str | None
+    clamp: tuple | None
+
+
+# The sampled rows come first, in an order that fixes the random-stream
+# layout, so new sampled knobs must only ever be appended after them.
+PARAMS = (
+    Param("source.eps_theta_spin_deg", "eps_theta_spin", "source-spin", (-90.0, 90.0)),
+    Param("source.eps_phi_spin_deg", "eps_phi_spin", "source-spin", (-180.0, 180.0)),
+    Param("source.lambda_spin", "lambda_spin", "source-spin", (0.0, 1.0)),
+    Param("source.eps_theta_orbit_deg", "eps_theta_orbit", "source-orbit", (-90.0, 90.0)),
+    Param("source.eps_phi_orbit_deg", "eps_phi_orbit", "source-orbit", (-180.0, 180.0)),
+    Param("source.lambda_orbit", "lambda_orbit", "source-orbit", (0.0, 1.0)),
+    Param("gate.eps_H", "eps_H", "pbs-crosstalk", (0.0, 1.0)),
+    Param("gate.eps_V", "eps_V", "pbs-crosstalk", (0.0, 1.0)),
+    Param("accidentals.fraction", "accidental_fraction", "accidentals", (0.0, 0.99)),
+    Param("gate.phi1_deg", "phi1", None, None),
+    Param("gate.phi2_deg", "phi2", None, None),
 )
 
-_PARAM_GROUP = {
-    "source.eps_theta_spin_deg": "source-spin",
-    "source.eps_phi_spin_deg": "source-spin",
-    "source.lambda_spin": "source-spin",
-    "source.eps_theta_orbit_deg": "source-orbit",
-    "source.eps_phi_orbit_deg": "source-orbit",
-    "source.lambda_orbit": "source-orbit",
-    "gate.eps_H": "pbs-crosstalk",
-    "gate.eps_V": "pbs-crosstalk",
-    "accidentals.fraction": "accidentals",
-}
-
-# Physical sampling ranges: unitless weights stay in [0, 1], angles are
-# kept finite and well inside a single branch of the model.
-_PARAM_CLAMPS = {
-    "source.eps_theta_spin_deg": (-90.0, 90.0),
-    "source.eps_phi_spin_deg": (-180.0, 180.0),
-    "source.lambda_spin": (0.0, 1.0),
-    "source.eps_theta_orbit_deg": (-90.0, 90.0),
-    "source.eps_phi_orbit_deg": (-180.0, 180.0),
-    "source.lambda_orbit": (0.0, 1.0),
-    "gate.eps_H": (0.0, 1.0),
-    "gate.eps_V": (0.0, 1.0),
-    "accidentals.fraction": (0.0, 0.99),
-}
+_SAMPLED = tuple(p for p in PARAMS if p.group is not None)
 
 DEFAULT_ITERATIONS = 100
 DEFAULT_SEED = 6
 
 
+def parse_key_values(text: str, keys: dict) -> dict:
+    """Parse flat ``key = value`` lines into {key: converted value}.
+
+    ``keys`` maps every valid key to its converter (str, int or float).
+    Blank lines and #-comments are ignored.  An unknown or repeated key,
+    a value the converter rejects and a NaN or infinite number are
+    errors that name the line.
+    """
+    values = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
+        key, value = (s.strip() for s in line.split("=", 1))
+        if key not in keys:
+            raise ValueError(f"line {lineno}: unknown key {key!r}; "
+                             f"valid keys: {list(keys)}")
+        if key in values:
+            raise ValueError(f"line {lineno}: key {key!r} is given twice")
+        try:
+            v = keys[key](value)
+        except ValueError:
+            raise ValueError(f"line {lineno}: {key}: cannot read {value!r} "
+                             f"as {keys[key].__name__}") from None
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValueError(f"line {lineno}: {key} must be finite, got {value!r}")
+        values[key] = v
+    return values
+
+
 @dataclass(frozen=True)
 class ParamDistribution:
-    """Clamped normal distribution for one imperfection knob."""
+    """Normal distribution for one imperfection knob, in file units.
+
+    Draws are clamped to the knob's range in PARAMS.
+    """
 
     mean: float
     sigma: float = 0.0
-    lower_clamp: float = -math.inf
-    upper_clamp: float = math.inf
 
     def __post_init__(self):
         if self.sigma < 0.0:
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
-        if self.lower_clamp > self.upper_clamp:
-            raise ValueError("lower_clamp must not exceed upper_clamp")
 
 
 @dataclass(frozen=True)
 class ImperfectionParams:
-    """One sampled setting of all nine knobs.  Angles in radians."""
+    """One setting of every knob in PARAMS.  Angles in radians."""
 
     eps_theta_spin: float
     eps_phi_spin: float
@@ -110,6 +136,20 @@ class ImperfectionParams:
     eps_H: float
     eps_V: float
     accidental_fraction: float
+    phi1: float = 0.0
+    phi2: float = 0.0
+
+    @classmethod
+    def from_values(cls, values: dict) -> ImperfectionParams:
+        """Record from {file key: value}; missing keys are 0 (ideal).
+
+        Values of ``_deg`` keys are converted to radians here, and only here.
+        """
+        fields = {}
+        for p in PARAMS:
+            v = values.get(p.key, 0.0)
+            fields[p.field] = math.radians(v) if p.key.endswith("_deg") else v
+        return cls(**fields)
 
     def source_params(self) -> SourceParams:
         return SourceParams(
@@ -122,7 +162,8 @@ class ImperfectionParams:
         )
 
     def gate_params(self) -> GateParams:
-        return GateParams(eps_H=self.eps_H, eps_V=self.eps_V)
+        return GateParams(eps_H=self.eps_H, eps_V=self.eps_V,
+                          phi1=self.phi1, phi2=self.phi2)
 
     def accidental_model(self) -> AccidentalModel:
         return AccidentalModel(fraction=self.accidental_fraction)
@@ -151,39 +192,14 @@ class McScenario:
             raise ValueError(
                 f"unknown imperfection groups {sorted(unknown_groups)}; "
                 f"valid groups: {list(IMPERFECTION_GROUPS)}")
-        unknown_params = set(self.distributions) - set(PARAM_NAMES)
+        valid_params = [p.key for p in _SAMPLED]
+        unknown_params = set(self.distributions) - set(valid_params)
         if unknown_params:
             raise ValueError(
                 f"unknown parameters {sorted(unknown_params)}; "
-                f"valid parameters: {list(PARAM_NAMES)}")
+                f"valid parameters: {valid_params}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be positive, got {self.iterations}")
-
-
-def _default_distribution(name: str, active: frozenset) -> ParamDistribution:
-    lo, hi = _PARAM_CLAMPS[name]
-    if name == "accidentals.fraction" and "accidentals" in active:
-        return ParamDistribution(DEFAULT_ACCIDENTAL_FRACTION, 0.0, lo, hi)
-    return ParamDistribution(0.0, 0.0, lo, hi)
-
-
-def _resolved_distributions(scenario: McScenario) -> list:
-    """Distribution for every knob in canonical order, ideal when inactive."""
-    dists = []
-    for name in PARAM_NAMES:
-        if _PARAM_GROUP[name] not in scenario.active:
-            dists.append(_default_distribution(name, scenario.active))
-            continue
-        d = scenario.distributions.get(name)
-        if d is None:
-            d = _default_distribution(name, scenario.active)
-        else:
-            lo, hi = _PARAM_CLAMPS[name]
-            d = ParamDistribution(d.mean, d.sigma,
-                                  max(d.lower_clamp, lo),
-                                  min(d.upper_clamp, hi))
-        dists.append(d)
-    return dists
 
 
 def default_scenarios() -> list:
@@ -235,30 +251,24 @@ def _standard_normals(seed: int, iteration_index: int, count: int) -> np.ndarray
 
 
 def sample_params(scenario: McScenario, iteration_index: int) -> ImperfectionParams:
-    """Draw all nine knobs for one iteration, deterministically.
+    """Draw the sampled knobs of PARAMS for one iteration, deterministically.
 
     The stream position depends only on (scenario.seed, iteration_index)
-    and every knob consumes a fixed slot, so serial and parallel runs
-    agree bit-exactly.
+    and every sampled knob consumes a fixed slot, whether or not its
+    group is active.  The phases are not sampled and stay zero.
     """
-    dists = _resolved_distributions(scenario)
-    z = _standard_normals(scenario.seed, iteration_index, len(dists))
-    values = []
-    for d, zi in zip(dists, z):
-        v = d.mean + d.sigma * zi
-        values.append(min(max(v, d.lower_clamp), d.upper_clamp))
-    deg = math.pi / 180.0
-    return ImperfectionParams(
-        eps_theta_spin=values[0] * deg,
-        eps_phi_spin=values[1] * deg,
-        lambda_spin=values[2],
-        eps_theta_orbit=values[3] * deg,
-        eps_phi_orbit=values[4] * deg,
-        lambda_orbit=values[5],
-        eps_H=values[6],
-        eps_V=values[7],
-        accidental_fraction=values[8],
-    )
+    z = _standard_normals(scenario.seed, iteration_index, len(_SAMPLED))
+    values = {}
+    for p, zi in zip(_SAMPLED, z):
+        if p.group not in scenario.active:
+            continue
+        d = scenario.distributions.get(p.key)
+        if d is not None:
+            lo, hi = p.clamp
+            values[p.key] = min(max(d.mean + d.sigma * zi, lo), hi)
+        elif p.group == "accidentals":
+            values[p.key] = DEFAULT_ACCIDENTAL_FRACTION
+    return ImperfectionParams.from_values(values)
 
 
 @dataclass(frozen=True)
@@ -296,34 +306,25 @@ class McResult:
         return IDEAL_CAPACITY_BITS - self.capacity_mean
 
 
-def _evaluate_iteration(scenario: McScenario, index: int) -> tuple:
-    params = sample_params(scenario, index)
-    t = transfer_matrix(params.source_params(), params.gate_params())
-    if "accidentals" in scenario.active:
-        t = apply_accidentals(t, params.accidental_model())
-    cap = channel_capacity(t).capacity_bits
-    return cap, average_success(t)
-
 def run(scenario: McScenario, jobs: int = 1) -> McResult:
-    """Evaluate all iterations of a scenario.
+    """Evaluate all iterations of a scenario, one after another.
 
-    jobs > 1 spreads iterations over a thread pool; results are stored
-    by iteration index, so the outcome is identical for any jobs value.
+    ``jobs`` is accepted and must be positive, but does not change how
+    iterations run: with matrices this small the interpreter lock
+    serializes the work, so worker threads only add overhead.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
     n = scenario.iterations
     caps = np.empty(n)
     succ = np.empty(n)
-    if jobs == 1:
-        for i in range(n):
-            caps[i], succ[i] = _evaluate_iteration(scenario, i)
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for i, (c, s) in enumerate(
-                    pool.map(lambda i: _evaluate_iteration(scenario, i),
-                             range(n))):
-                caps[i], succ[i] = c, s
+    for i in range(n):
+        params = sample_params(scenario, i)
+        t = transfer_matrix(params.source_params(), params.gate_params())
+        if "accidentals" in scenario.active:
+            t = apply_accidentals(t, params.accidental_model())
+        caps[i] = channel_capacity(t).capacity_bits
+        succ[i] = average_success(t)
     return McResult(scenario=scenario, capacity_bits=caps,
                     success_probability=succ)
 
@@ -359,7 +360,9 @@ def naive_budget_check(singles, combined: McResult) -> BudgetReport:
 
 # --- scenario files ---------------------------------------------------------
 
-_SCENARIO_SCALAR_KEYS = ("name", "active", "iterations", "seed")
+_SCENARIO_KEYS = {"name": str, "active": str, "iterations": int, "seed": int,
+                  **{f"{p.key}.{kind}": float for p in _SAMPLED
+                     for kind in ("mean", "sigma")}}
 
 
 def parse_scenario_text(text: str) -> McScenario:
@@ -367,51 +370,32 @@ def parse_scenario_text(text: str) -> McScenario:
 
     Recognized keys: name=, active= (comma-separated groups),
     iterations=, seed=, and per-parameter <param>.mean= / <param>.sigma=
-    with <param> one of PARAM_NAMES.  Blank lines and #-comments are
-    ignored.
+    with <param> the key of a sampled row of PARAMS.  Blank lines and
+    #-comments are ignored.
     """
-    name = "custom"
-    active = set()
-    iterations = DEFAULT_ITERATIONS
-    seed = DEFAULT_SEED
-    means = {}
-    sigmas = {}
-    valid_param_keys = {f"{p}.{s}" for p in PARAM_NAMES
-                        for s in ("mean", "sigma")}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, value = (s.strip() for s in line.split("=", 1))
-        if key == "name":
-            name = value
-        elif key == "active":
-            active = {g.strip() for g in value.split(",") if g.strip()}
-        elif key == "iterations":
-            iterations = int(value)
-        elif key == "seed":
-            seed = int(value)
-        elif key in valid_param_keys:
-            param, kind = key.rsplit(".", 1)
-            (means if kind == "mean" else sigmas)[param] = float(value)
-        else:
-            valid = list(_SCENARIO_SCALAR_KEYS) + sorted(valid_param_keys)
-            raise ValueError(
-                f"line {lineno}: unknown key {key!r}; valid keys: {valid}")
+    values = parse_key_values(text, _SCENARIO_KEYS)
     dists = {}
-    for param in set(means) | set(sigmas):
-        lo, hi = _PARAM_CLAMPS[param]
-        dists[param] = ParamDistribution(means.get(param, 0.0),
-                                         sigmas.get(param, 0.0), lo, hi)
-    return McScenario(name=name, active=frozenset(active),
-                      distributions=dists, iterations=iterations, seed=seed)
+    for p in _SAMPLED:
+        mean, sigma = f"{p.key}.mean", f"{p.key}.sigma"
+        if mean in values or sigma in values:
+            dists[p.key] = ParamDistribution(values.get(mean, 0.0),
+                                             values.get(sigma, 0.0))
+    active = values.get("active", "")
+    return McScenario(name=values.get("name", "custom"),
+                      active=frozenset(g.strip() for g in active.split(",")
+                                       if g.strip()),
+                      distributions=dists,
+                      iterations=values.get("iterations", DEFAULT_ITERATIONS),
+                      seed=values.get("seed", DEFAULT_SEED))
 
 
 def load_scenario(path) -> McScenario:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario_text(fh.read())
+        text = fh.read()
+    try:
+        return parse_scenario_text(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # --- reporting --------------------------------------------------------------

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperdense import cli, states
+from hyperdense import cli, optics, states
 from hyperdense import montecarlo as mc
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -97,6 +98,73 @@ def test_simulate_bad_params_file(capsys, tmp_path):
                          str(tmp_path / "missing.txt"))
     assert rc == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("option, text, message", [
+    ("--params", "gate.eps_H = 0.005\nsource.lambda_spin = nan\n",
+     "line 2: source.lambda_spin must be finite, got 'nan'"),
+    ("--params", "gate.phi1_deg = -inf\n",
+     "line 1: gate.phi1_deg must be finite, got '-inf'"),
+    ("--params", "gate.eps_H = 0.005\ngate.eps_H = 0.006\n",
+     "line 2: key 'gate.eps_H' is given twice"),
+    ("--scenario", "active = source-spin\nsource.lambda_spin.sigma = inf\n",
+     "line 2: source.lambda_spin.sigma must be finite, got 'inf'"),
+    ("--scenario", "active = source-spin\nsource.lambda_spin.mean = inf\n",
+     "line 2: source.lambda_spin.mean must be finite, got 'inf'"),
+    ("--scenario", "source.eps_theta_spin_deg.mean = nan\n",
+     "line 1: source.eps_theta_spin_deg.mean must be finite, got 'nan'"),
+    ("--scenario", "seed = 1\n\nseed = 2\n", "line 3: key 'seed' is given twice"),
+    ("--scenario", "iterations = many\n",
+     "line 1: iterations: cannot read 'many' as int"),
+], ids=["params-nan", "params-inf-phase", "params-repeat", "scenario-inf-sigma",
+        "scenario-inf-mean", "scenario-nan-mean", "scenario-repeat",
+        "scenario-bad-int"])
+def test_bad_numbers_and_repeated_keys_name_file_and_line(capsys, tmp_path,
+                                                          option, text, message):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    command = "simulate" if option == "--params" else "montecarlo"
+    rc, out, err = run_cli(capsys, command, option, str(path))
+    assert (rc, out) == (2, "")
+    assert err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("param", [p for p in mc.PARAMS if p.group],
+                         ids=lambda p: p.key)
+def test_params_file_and_zero_sigma_scenario_agree(capsys, tmp_path, param):
+    value = 2.0 if param.key.endswith("_deg") else 0.02
+    params = tmp_path / "params.txt"
+    params.write_text(f"{param.key} = {value}\n")
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(f"active = {param.group}\niterations = 2\n"
+                        f"{param.key}.mean = {value}\n{param.key}.sigma = 0\n")
+    rc, out, _ = run_cli(capsys, "simulate", "--params", str(params))
+    assert rc == 0
+    simulated = json.loads(out)
+    assert simulated["capacity_bits"] < 2.0 - 1e-6
+    rc, out, _ = run_cli(capsys, "montecarlo", "--scenario", str(scenario),
+                         "--format", "json")
+    assert rc == 0
+    sampled = json.loads(out)["results"][0]
+    assert abs(sampled["capacity_mean_bits"] - simulated["capacity_bits"]) < 1e-12
+    assert abs(sampled["success_mean"] - simulated["success_probability"]) < 1e-12
+
+
+def test_params_file_phases_are_degrees(capsys, tmp_path):
+    params = tmp_path / "params.txt"
+    params.write_text("gate.phi1_deg = 30\ngate.phi2_deg = -45\n")
+    _, gate, _ = cli.load_params(params)
+    assert abs(gate.phi1 - math.pi / 6) < 1e-15
+    assert abs(gate.phi2 + math.pi / 4) < 1e-15
+
+    params.write_text("gate.phi1_deg = 30\n")
+    rc, out, _ = run_cli(capsys, "simulate", "--params", str(params))
+    assert rc == 0
+    want = optics.transfer_matrix(states.SourceParams(),
+                                  optics.GateParams(phi1=math.pi / 6))
+    got = np.array(json.loads(out)["transfer_matrix"]["p"])
+    assert np.allclose(got, want.probabilities, rtol=0, atol=1e-12)
+    assert not np.allclose(got, np.eye(4), atol=1e-3)
 
 
 def test_analyze_exact_recovery(capsys, tmp_path):
