@@ -109,6 +109,48 @@ def channel_capacity(t, tol_bits: float = 1e-10,
                           iterations=iterations, converged=converged)
 
 
+def channel_capacity_stack(p, tol_bits: float = 1e-10,
+                           max_iterations: int = 100_000) -> tuple:
+    """channel_capacity for a stack of channels p[k, y, x], shape (n, m, m).
+
+    Runs the same Blahut-Arimoto update with the same bracket stopping
+    rule on every channel at once; a channel leaves the active set when
+    its own gap closes.  Returns (capacity_bits, iterations, converged),
+    three arrays of length n.
+    """
+    w = np.swapaxes(np.asarray(p, dtype=float), 1, 2)  # w[k, x, y] = p(y | x)
+    n, m = w.shape[:2]
+    positive = w > 0.0
+    log_w = np.log(np.where(positive, w, 1.0))
+    tol_nats = tol_bits * _LN2
+
+    i_low = np.zeros(n)
+    iterations = np.zeros(n, dtype=int)
+    converged = np.zeros(n, dtype=bool)
+    active = np.arange(n)
+    r = np.full((n, m), 1.0 / m)
+    for it in range(1, max_iterations + 1):
+        if not active.size:
+            break
+        q = np.einsum("kx,kxy->ky", r, w)
+        safe_q = np.where(q > 0.0, q, 1.0)
+        d = np.where(positive, w * (log_w - np.log(safe_q)[:, None, :]),
+                     0.0).sum(axis=2)
+        low = np.einsum("kx,kx->k", r, d)
+        d_max = d.max(axis=1)
+        i_low[active] = low
+        iterations[active] = it
+        done = d_max - low < tol_nats
+        if done.any():
+            converged[active[done]] = True
+            keep = ~done
+            active, w, positive, log_w, r, d, d_max = (
+                v[keep] for v in (active, w, positive, log_w, r, d, d_max))
+        r = r * np.exp(d - d_max[:, None])
+        r /= r.sum(axis=1, keepdims=True)
+    return np.maximum(i_low / _LN2, 0.0), iterations, converged
+
+
 def average_success(t) -> float:
     """Mean of the diagonal: probability of detecting what was sent."""
     p = _prob_matrix(t)

@@ -31,19 +31,27 @@ _COUNTS_HEADER = ["sent"] + [l1.ascii + l2.ascii for l1, l2 in states.BELL_PAIRS
 _PARAMS_FILE_KEYS = dict.fromkeys((p.key for p in mc.PARAMS), float)
 
 
+def _records(params: mc.ImperfectionParams) -> tuple:
+    return (params.source_params(), params.gate_params(),
+            params.accidental_model())
+
+
+def _check_param(key: str, value: float) -> None:
+    _records(mc.ImperfectionParams.from_values({key: value}))
+
+
 def load_params(path) -> tuple:
     """Read a flat key=value parameter file with the keys of mc.PARAMS.
 
     Returns (SourceParams, GateParams, AccidentalModel); missing keys
-    default to the ideal apparatus with no accidentals.
+    default to the ideal apparatus with no accidentals.  A value outside
+    its record's range fails with its line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        params = mc.ImperfectionParams.from_values(
-            mc.parse_key_values(text, _PARAMS_FILE_KEYS))
-        return (params.source_params(), params.gate_params(),
-                params.accidental_model())
+        return _records(mc.ImperfectionParams.from_values(
+            mc.parse_key_values(text, _PARAMS_FILE_KEYS, _check_param)))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

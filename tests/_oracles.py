@@ -7,6 +7,8 @@ the same number.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 
@@ -38,14 +40,16 @@ def split_channel_capacity_3(p_s: float) -> float:
 
 
 def simplex_grid(n: int, steps: int) -> np.ndarray:
-    """All probability vectors of length n on a 1/steps grid."""
-    if n == 1:
-        return np.array([[steps]], dtype=float)
-    blocks = []
-    for k in range(steps + 1):
-        rest = simplex_grid(n - 1, steps - k)
-        blocks.append(np.column_stack([np.full(len(rest), float(k)), rest]))
-    return np.vstack(blocks)
+    """All probability vectors of length n on a 1/steps grid, times steps.
+
+    Stars and bars: n - 1 bars among steps + n - 1 slots split the steps
+    into n counts, the gaps between consecutive bars.
+    """
+    bars = np.array(list(itertools.combinations(range(steps + n - 1), n - 1)),
+                    dtype=float).reshape(-1, n - 1)
+    edges = np.column_stack([np.full(len(bars), -1.0), bars,
+                             np.full(len(bars), float(steps + n - 1))])
+    return np.diff(edges, axis=1) - 1.0
 
 
 def mutual_information_rows(px_rows: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import importlib
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hyperdense
 from hyperdense import cli, optics, states
 from hyperdense import montecarlo as mc
 
@@ -116,9 +118,26 @@ def test_simulate_bad_params_file(capsys, tmp_path):
     ("--scenario", "seed = 1\n\nseed = 2\n", "line 3: key 'seed' is given twice"),
     ("--scenario", "iterations = many\n",
      "line 1: iterations: cannot read 'many' as int"),
+    ("--params", "source.lambda_orbit = 0.1\nsource.lambda_spin = 2\n",
+     "line 2: source.lambda_spin: lambda_spin must lie in [0, 1], got 2.0"),
+    ("--params", "accidentals.fraction = 1\n",
+     "line 1: accidentals.fraction: accidental fraction must lie in [0, 1), "
+     "got 1.0"),
+    ("--scenario", "active = source-spin\nsource.lambda_spin.sigma = -1\n",
+     "line 2: source.lambda_spin.sigma: sigma must be non-negative, got -1.0"),
+    ("--scenario", "iterations = 0\n",
+     "line 1: iterations: iterations must lie in [1, 10000000], got 0"),
+    ("--scenario", "name = huge\niterations = 100000000000\n",
+     "line 2: iterations: iterations must lie in [1, 10000000], "
+     "got 100000000000"),
+    ("--scenario", "active = source-spin, gremlins\n",
+     "line 1: active: unknown imperfection groups ['gremlins']; valid groups: "
+     "['source-spin', 'source-orbit', 'pbs-crosstalk', 'accidentals']"),
 ], ids=["params-nan", "params-inf-phase", "params-repeat", "scenario-inf-sigma",
         "scenario-inf-mean", "scenario-nan-mean", "scenario-repeat",
-        "scenario-bad-int"])
+        "scenario-bad-int", "params-range", "params-accidentals-range",
+        "scenario-negative-sigma", "scenario-zero-iterations",
+        "scenario-huge-iterations", "scenario-unknown-group"])
 def test_bad_numbers_and_repeated_keys_name_file_and_line(capsys, tmp_path,
                                                           option, text, message):
     path = tmp_path / "input.txt"
@@ -403,10 +422,16 @@ def test_console_entry_point():
                 f"from {module_name} import {attr}\n"
                 f"sys.argv[0] = 'hyperdense'\n"
                 f"sys.exit({attr}())\n")
+    # The subprocesses import the package this test imported, wherever
+    # pytest found it (an install, PYTHONPATH or pyproject's pythonpath).
+    package_root = str(Path(hyperdense.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root] + [p for p in [env.get("PYTHONPATH")] if p])
 
     def run_script(*argv):
         return subprocess.run([sys.executable, "-c", launcher, *argv],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
 
     proc = run_script("simulate")
     assert proc.returncode == 0, proc.stderr
@@ -417,7 +442,7 @@ def test_console_entry_point():
     assert proc.stderr.startswith("usage: hyperdense"), proc.stderr
 
     proc = subprocess.run([sys.executable, "-m", "hyperdense.cli"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 2
 
 

@@ -1,0 +1,175 @@
+"""The batched Monte Carlo engine against the single-point path.
+
+montecarlo.run samples draws as columns, builds their transfer matrices
+in one stacked Heisenberg-picture pass and solves their capacities in
+one stacked Blahut-Arimoto run.  Each piece is compared here with the
+single-point route it replaces: sample_params, the Schroedinger-picture
+transfer_matrix, apply_accidentals and channel_capacity.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hyperdense import montecarlo as mc
+from hyperdense.capacity import (
+    average_success,
+    channel_capacity,
+    channel_capacity_stack,
+)
+from hyperdense.optics import (
+    DEFAULT_ACCIDENTAL_FRACTION,
+    AccidentalModel,
+    GateParams,
+    analyzer_unitary,
+    analyzer_unitary_stack,
+    apply_accidentals,
+    transfer_matrix,
+    transfer_matrix_stack,
+)
+from hyperdense.states import SourceParams, build_source, build_source_stack
+
+_ANGLE = st.floats(-math.pi, math.pi)
+_WEIGHT = st.floats(0.0, 1.0)
+
+_SETTING = st.fixed_dictionaries({
+    "eps_theta_spin": st.floats(-math.pi / 2, math.pi / 2),
+    "eps_phi_spin": _ANGLE,
+    "lambda_spin": _WEIGHT,
+    "eps_theta_orbit": st.floats(-math.pi / 2, math.pi / 2),
+    "eps_phi_orbit": _ANGLE,
+    "lambda_orbit": _WEIGHT,
+    "eps_H": _WEIGHT,
+    "eps_V": _WEIGHT,
+    "phi1": st.floats(-2 * math.pi, 2 * math.pi),
+    "phi2": st.floats(-2 * math.pi, 2 * math.pi),
+    "accidental_fraction": st.floats(0.0, 0.99),
+})
+
+_SOURCE_FIELDS = ("eps_theta_spin", "eps_phi_spin", "lambda_spin",
+                  "eps_theta_orbit", "eps_phi_orbit", "lambda_orbit")
+_GATE_FIELDS = ("eps_H", "eps_V", "phi1", "phi2")
+
+
+def _columns(settings_list, fields):
+    return [np.array([s[f] for s in settings_list]) for f in fields]
+
+
+def _scalar_matrix(setting) -> np.ndarray:
+    source = SourceParams(**{f: setting[f] for f in _SOURCE_FIELDS})
+    gate = GateParams(**{f: setting[f] for f in _GATE_FIELDS})
+    t = transfer_matrix(source, gate)
+    t = apply_accidentals(t, AccidentalModel(setting["accidental_fraction"]))
+    return t.probabilities
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_SETTING, min_size=1, max_size=6))
+def test_stacked_matrices_match_transfer_matrix(settings_list):
+    rho = build_source_stack(*_columns(settings_list, _SOURCE_FIELDS))
+    u = analyzer_unitary_stack(*_columns(settings_list, _GATE_FIELDS))
+    p = transfer_matrix_stack(rho, u)
+    assert p.shape == (len(settings_list), 4, 4)
+    for k, s in enumerate(settings_list):
+        source = SourceParams(**{f: s[f] for f in _SOURCE_FIELDS})
+        gate = GateParams(**{f: s[f] for f in _GATE_FIELDS})
+        assert np.max(np.abs(rho[k] - build_source(source))) < 1e-12
+        assert np.max(np.abs(u[k] - analyzer_unitary(gate))) < 1e-12
+        want = transfer_matrix(source, gate).probabilities
+        assert np.max(np.abs(p[k] - want)) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_SETTING, min_size=1, max_size=6),
+       st.sampled_from([3, 40, 400]))
+def test_stacked_capacities_match_channel_capacity(settings_list, max_iterations):
+    # channels from the physical model, with accidentals; a low iteration
+    # cap exercises the unconverged branch on both paths
+    p = np.array([_scalar_matrix(s) for s in settings_list])
+    caps, iterations, converged = channel_capacity_stack(
+        p, max_iterations=max_iterations)
+    for k in range(len(p)):
+        want = channel_capacity(p[k], max_iterations=max_iterations)
+        assert abs(caps[k] - want.capacity_bits) < 1e-12
+        assert iterations[k] == want.iterations
+        assert converged[k] == want.converged
+
+
+def test_stacked_capacities_of_random_channels():
+    rng = np.random.default_rng(5)
+    for m in (2, 3, 4):
+        p = rng.random((40, m, m)) ** 3
+        p /= p.sum(axis=1, keepdims=True)
+        caps, iterations, converged = channel_capacity_stack(p, max_iterations=500)
+        for k in range(len(p)):
+            want = channel_capacity(p[k], max_iterations=500)
+            assert abs(caps[k] - want.capacity_bits) < 1e-12
+            assert (iterations[k], converged[k]) == (want.iterations, want.converged)
+        assert converged.any() and not converged.all()
+
+
+def _reference_draw(scenario: mc.McScenario, i: int) -> dict:
+    """One draw by the per-knob scalar rule: clamp, accidental default, radians."""
+    z = mc._standard_normals(scenario.seed, i, 9)
+    out = {}
+    for j, p in enumerate(mc.PARAMS):
+        v = 0.0
+        if p.group in scenario.active:
+            d = scenario.distributions.get(p.key)
+            if d is not None:
+                lo, hi = p.clamp
+                v = min(max(d.mean + d.sigma * float(z[j]), lo), hi)
+            elif p.group == "accidentals":
+                v = DEFAULT_ACCIDENTAL_FRACTION
+        out[p.field] = math.radians(v) if p.key.endswith("_deg") else v
+    return out
+
+
+_SAMPLED_KEYS = [p.key for p in mc.PARAMS if p.group is not None]
+
+
+@st.composite
+def _scenarios(draw):
+    keys = draw(st.lists(st.sampled_from(_SAMPLED_KEYS), unique=True))
+    dists = {k: mc.ParamDistribution(draw(st.floats(-200.0, 200.0)),
+                                     draw(st.floats(0.0, 100.0)))
+             for k in keys}
+    active = draw(st.frozensets(st.sampled_from(mc.IMPERFECTION_GROUPS)))
+    seed = draw(st.integers(-2**63, 2**64 - 1))
+    return mc.McScenario("random", active, dists, 1, seed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_scenarios(), st.integers(0, 2**40), st.integers(1, 5))
+def test_columnar_sampler_matches_per_draw_rule(scenario, start, count):
+    columns = mc._sample_columns(scenario, start, start + count)
+    for k in range(count):
+        want = _reference_draw(scenario, start + k)
+        record = mc.sample_params(scenario, start + k)
+        for field, value in want.items():
+            assert columns[field][k] == value, field
+            assert getattr(record, field) == value, field
+            assert type(getattr(record, field)) is float
+
+
+@pytest.mark.parametrize("name", [s.name for s in mc.default_scenarios()])
+def test_run_over_several_blocks_matches_per_draw_path(monkeypatch, name):
+    base = mc.builtin_scenario(name)
+    scenario = mc.McScenario(name, base.active, base.distributions, 11, seed=31)
+    whole = mc.run(scenario)
+    monkeypatch.setattr(mc, "_BLOCK", 4)
+    blocks = mc.run(scenario)
+    assert np.array_equal(blocks.capacity_bits, whole.capacity_bits)
+    assert np.array_equal(blocks.success_probability, whole.success_probability)
+    for i in range(scenario.iterations):
+        params = mc.sample_params(scenario, i)
+        t = transfer_matrix(params.source_params(), params.gate_params())
+        if "accidentals" in scenario.active:
+            t = apply_accidentals(t, params.accidental_model())
+        assert abs(blocks.capacity_bits[i] - channel_capacity(t).capacity_bits) < 1e-12
+        assert abs(blocks.success_probability[i] - average_success(t)) < 1e-12

@@ -78,6 +78,27 @@ def test_scenario_validation_errors():
         mc.ParamDistribution(0.0, -1.0)
 
 
+@pytest.mark.parametrize("mean, sigma", [(float("inf"), 0.0), (float("-inf"), 1.0),
+                                         (float("nan"), 0.0), (0.0, float("nan")),
+                                         (0.0, float("inf"))])
+def test_distributions_must_be_finite(mean, sigma):
+    # a non-finite mean used to pin every draw to a clamp edge, and a NaN
+    # sigma to fail mid-run
+    with pytest.raises(ValueError, match="must be finite"):
+        mc.ParamDistribution(mean, sigma)
+
+
+def test_iterations_have_an_upper_limit():
+    # construction and parsing only: a scenario this size is never run
+    mc.McScenario("largest", iterations=mc.MAX_ITERATIONS)
+    with pytest.raises(ValueError, match="iterations must lie in"):
+        mc.McScenario("huge", iterations=mc.MAX_ITERATIONS + 1)
+    assert mc.parse_scenario_text(
+        f"iterations = {mc.MAX_ITERATIONS}\n").iterations == mc.MAX_ITERATIONS
+    with pytest.raises(ValueError, match="line 2: iterations: iterations must lie in"):
+        mc.parse_scenario_text("name = huge\niterations = 100000000000\n")
+
+
 def test_zero_sigma_run_matches_deterministic_point():
     dists = {
         "source.eps_theta_spin_deg": mc.ParamDistribution(1.0),
