@@ -20,11 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optics import TransferMatrix
-from .states import MESSAGES, signature_map
+from .states import MESSAGES, PAIR_MESSAGES
 
 _LN2 = math.log(2.0)
 
 _THREE_LABELS = ("S1", "S2", "S3")
+
+# Most points bound_curve samples on one curve: one capacity solve each.
+MAX_RESOLUTION = 10_000
 
 
 def _prob_matrix(t) -> np.ndarray:
@@ -157,12 +160,6 @@ def average_success(t) -> float:
     return float(np.mean(np.diag(p)))
 
 
-_PAIR_COLUMNS = {
-    m: [l1 * 4 + l2 for (l1, l2) in sorted(signature_map(m))]
-    for m in MESSAGES
-}
-
-
 def snr_per_message(counts) -> list:
     """Signal-to-noise ratio per sent message from a 4x16 counts table.
 
@@ -182,7 +179,7 @@ def snr_per_message(counts) -> list:
         total = row.sum()
         if total <= 0.0:
             raise ValueError(f"no counts recorded for sent message {m.label}")
-        signal = row[_PAIR_COLUMNS[m]].sum()
+        signal = row[PAIR_MESSAGES == m].sum()
         noise = total - signal
         out.append(None if noise <= 0.0 else float(signal / noise))
     return out
@@ -254,8 +251,9 @@ def bound_curve(encoding: int, which: str, resolution: int = 50) -> np.ndarray:
     output, zero capacity), upper curves at the p_s where their noisy
     branch carries nothing.
     """
-    if resolution < 2:
-        raise ValueError(f"resolution must be at least 2, got {resolution}")
+    if not 2 <= resolution <= MAX_RESOLUTION:
+        raise ValueError(f"resolution must lie in [2, {MAX_RESOLUTION}], "
+                         f"got {resolution}")
     try:
         fn, lo, hi = _CURVES[(encoding, which)]
     except KeyError:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -30,6 +31,8 @@ _COUNTS_HEADER = ["sent"] + [l1.ascii + l2.ascii for l1, l2 in states.BELL_PAIRS
 
 _PARAMS_FILE_KEYS = dict.fromkeys((p.key for p in mc.PARAMS), float)
 
+_FORMATS = ("json", "csv", "table")
+
 
 def _records(params: mc.ImperfectionParams) -> tuple:
     return (params.source_params(), params.gate_params(),
@@ -40,6 +43,11 @@ def _check_param(key: str, value: float) -> None:
     _records(mc.ImperfectionParams.from_values({key: value}))
 
 
+def _parse_params(text: str) -> tuple:
+    return _records(mc.ImperfectionParams.from_values(
+        mc.parse_key_values(text, _PARAMS_FILE_KEYS, _check_param)))
+
+
 def load_params(path) -> tuple:
     """Read a flat key=value parameter file with the keys of mc.PARAMS.
 
@@ -47,13 +55,7 @@ def load_params(path) -> tuple:
     default to the ideal apparatus with no accidentals.  A value outside
     its record's range fails with its line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        return _records(mc.ImperfectionParams.from_values(
-            mc.parse_key_values(text, _PARAMS_FILE_KEYS, _check_param)))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return mc.parse_file(path, _parse_params)
 
 
 def parse_counts_csv(text: str) -> np.ndarray:
@@ -76,30 +78,56 @@ def parse_counts_csv(text: str) -> np.ndarray:
             raise ValueError(f"row {i + 2}: expected sent message {m.label!r} "
                              f"in canonical order, got {cells[0]!r}")
         for j, cell in enumerate(cells[1:]):
-            v = float(cell)
+            try:
+                v = float(cell)
+            except ValueError:
+                v = math.nan  # not a number: fails the check below
             if not v.is_integer() or v < 0:
                 raise ValueError(
                     f"row {i + 2}, column {_COUNTS_HEADER[j + 1]!r}: counts "
                     f"must be non-negative integers, got {cell!r}")
             counts[i, j] = v
         if counts[i].sum() == 0:
-            raise ValueError(f"no counts recorded for message {m.label}")
+            raise ValueError(f"row {i + 2}: no counts recorded for message "
+                             f"{m.label}")
     return counts
 
 
 def aggregate_counts(counts: np.ndarray) -> optics.TransferMatrix:
     """Collapse signature columns into a 4x4 conditional-probability matrix."""
-    p = np.zeros((4, 4))
-    for x in states.MESSAGES:
-        total = counts[x].sum()
-        for y in states.MESSAGES:
-            cols = [l1 * 4 + l2 for (l1, l2) in sorted(states.signature_map(y))]
-            p[y, x] = counts[x][cols].sum() / total
+    p = [[counts[x][states.PAIR_MESSAGES == y].sum() / counts[x].sum()
+          for x in states.MESSAGES] for y in states.MESSAGES]
     return optics.TransferMatrix(p)
 
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
+
+
+def _csv_cell(v) -> str:
+    return f"{v:.17g}" if isinstance(v, float) else str(v)
+
+
+def _csv_text(header, rows, notes=None) -> str:
+    """CSV with floats at 17 significant digits, then `# key=value` notes."""
+    lines = [",".join(header)]
+    lines += [",".join(_csv_cell(v) for v in row) for row in rows]
+    lines += [f"# {key}={_csv_cell(v)}" for key, v in (notes or {}).items()]
+    return "\n".join(lines) + "\n"
+
+
+def _matrix_csv(t: optics.TransferMatrix, notes) -> str:
+    return _csv_text(["detected"] + [f"sent_{lab}" for lab in t.labels],
+                     [[lab, *t.probabilities[y]] for y, lab in enumerate(t.labels)],
+                     notes)
+
+
+def _matrix_table(title: str, t: optics.TransferMatrix) -> list:
+    lines = [title, "", "detected " + "".join(f"{lab:>12}" for lab in t.labels)]
+    for y, lab in enumerate(t.labels):
+        lines.append(f"{lab:<8} " +
+                     "".join(f"{v:>12.6g}" for v in t.probabilities[y]))
+    return lines + [""]
 
 
 def _write_output(text: str, out) -> None:
@@ -132,15 +160,10 @@ def _cmd_simulate(args) -> str:
             "success_probability": success,
         })
     if args.format == "csv":
-        footer = (f"# capacity_bits={result.capacity_bits:.17g}\n"
-                  f"# success_probability={success:.17g}\n")
-        return optics.to_csv(t) + footer
-    lines = ["conditional detection probabilities p(detected | sent)", ""]
-    lines.append("detected " + "".join(f"{lab:>12}" for lab in t.labels))
-    for y, lab in enumerate(t.labels):
-        lines.append(f"{lab:<8} " +
-                     "".join(f"{v:>12.6g}" for v in t.probabilities[y]))
-    lines.append("")
+        return _matrix_csv(t, {"capacity_bits": result.capacity_bits,
+                               "success_probability": success})
+    lines = _matrix_table(
+        "conditional detection probabilities p(detected | sent)", t)
     lines.append(f"capacity: {result.capacity_bits:.6g} bits")
     lines.append(f"average success probability: {success:.6g}")
     return "\n".join(lines) + "\n"
@@ -149,8 +172,7 @@ def _cmd_simulate(args) -> str:
 # --- analyze -----------------------------------------------------------------
 
 def _cmd_analyze(args) -> str:
-    with open(args.counts, "r", encoding="utf-8") as fh:
-        counts = parse_counts_csv(fh.read())
+    counts = mc.parse_file(args.counts, parse_counts_csv)
     t = aggregate_counts(counts)
     snrs = cap.snr_per_message(counts)
     uniform = np.full(4, 0.25)
@@ -165,19 +187,13 @@ def _cmd_analyze(args) -> str:
             "input_distribution": [float(v) for v in result.input_distribution],
         })
     if args.format == "csv":
-        lines = [optics.to_csv(t).rstrip("\n")]
-        for m in states.MESSAGES:
-            s = "inf" if snrs[m] is None else f"{snrs[m]:.17g}"
-            lines.append(f"# snr_{m.label}={s}")
-        lines.append(f"# mutual_information_uniform_bits={mi_uniform:.17g}")
-        lines.append(f"# capacity_bits={result.capacity_bits:.17g}")
-        return "\n".join(lines) + "\n"
-    lines = ["aggregated probabilities p(detected | sent)", ""]
-    lines.append("detected " + "".join(f"{lab:>12}" for lab in t.labels))
-    for y, lab in enumerate(t.labels):
-        lines.append(f"{lab:<8} " +
-                     "".join(f"{v:>12.6g}" for v in t.probabilities[y]))
-    lines.append("")
+        return _matrix_csv(t, {
+            **{f"snr_{m.label}": "inf" if snrs[m] is None else snrs[m]
+               for m in states.MESSAGES},
+            "mutual_information_uniform_bits": mi_uniform,
+            "capacity_bits": result.capacity_bits,
+        })
+    lines = _matrix_table("aggregated probabilities p(detected | sent)", t)
     for m in states.MESSAGES:
         s = "no noise counts" if snrs[m] is None else f"{snrs[m]:.6g}"
         lines.append(f"SNR {m.label}: {s}")
@@ -202,11 +218,9 @@ def _cmd_bounds(args) -> str:
             },
         })
     if args.format == "csv":
-        lines = ["curve,p_s,capacity_bits"]
-        for which, rows in curves.items():
-            for p, c in rows:
-                lines.append(f"{which},{p:.17g},{c:.17g}")
-        return "\n".join(lines) + "\n"
+        return _csv_text(["curve", "p_s", "capacity_bits"],
+                         [[which, p, c] for which, rows in curves.items()
+                          for p, c in rows])
     lines = [f"capacity bounds, {args.encoding}-message encoding",
              "",
              f"{'curve':<8} {'p_s':>10} {'capacity_bits':>15}"]
@@ -218,33 +232,20 @@ def _cmd_bounds(args) -> str:
 
 # --- montecarlo --------------------------------------------------------------
 
-def _mc_csv(results) -> str:
-    lines = ["scenario,success_mean,success_std,capacity_mean_bits,"
-             "capacity_std_bits,capacity_reduction_bits"]
-    for r in results:
-        lines.append(f"{r.scenario.name},{r.success_mean:.17g},"
-                     f"{r.success_std:.17g},{r.capacity_mean:.17g},"
-                     f"{r.capacity_std:.17g},{r.capacity_reduction:.17g}")
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_montecarlo(args) -> str:
     if args.scenario:
         scenarios = [mc.load_scenario(args.scenario)]
-        budget_wanted = False
     elif args.builtin == "full":
         scenarios = mc.default_scenarios()
-        budget_wanted = True
     else:
         scenarios = [mc.builtin_scenario(args.builtin)]
-        budget_wanted = False
     if args.seed is not None:
         scenarios = [mc.McScenario(s.name, s.active, s.distributions,
                                    s.iterations, args.seed)
                      for s in scenarios]
     results = [mc.run(s, jobs=args.jobs) for s in scenarios]
     budget = None
-    if budget_wanted:
+    if args.builtin == "full":
         by_name = {r.scenario.name: r for r in results}
         singles = [by_name[n] for n in ("spin", "orbit", "crosstalk",
                                         "accidentals")]
@@ -260,7 +261,11 @@ def _cmd_montecarlo(args) -> str:
             }
         return _json_text(payload)
     if args.format == "csv":
-        return _mc_csv(results)
+        return _csv_text(
+            ["scenario", "success_mean", "success_std", "capacity_mean_bits",
+             "capacity_std_bits", "capacity_reduction_bits"],
+            [[r.scenario.name, r.success_mean, r.success_std, r.capacity_mean,
+              r.capacity_std, r.capacity_reduction] for r in results])
     return mc.render_table(results, budget)
 
 
@@ -289,8 +294,7 @@ def _cmd_decompose(args) -> str:
         psi = states.encoded_ket(sent)
     except ValueError:
         if os.path.exists(state_arg):
-            with open(state_arg, "r", encoding="utf-8") as fh:
-                psi = _parse_amplitudes(fh.read())
+            psi = mc.parse_file(state_arg, _parse_amplitudes)
         else:
             psi = _parse_amplitudes(state_arg)
     amps = states.spin_orbit_decompose(psi)
@@ -312,11 +316,8 @@ def _cmd_decompose(args) -> str:
             "amplitudes": rows,
         })
     if args.format == "csv":
-        lines = ["pair,re,im,probability,message"]
-        for r in rows:
-            lines.append(f"{r['pair']},{r['re']:.17g},{r['im']:.17g},"
-                         f"{r['probability']:.17g},{r['message']}")
-        return "\n".join(lines) + "\n"
+        columns = ["pair", "re", "im", "probability", "message"]
+        return _csv_text(columns, [[r[c] for c in columns] for r in rows])
     lines = [f"{'pair':<6} {'amplitude':>24} {'probability':>12} "
              f"{'message':>8}"]
     for r in rows:
@@ -348,23 +349,20 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="transfer matrix and capacity for one setting")
     p.add_argument("--params", metavar="FILE",
                    help="key=value imperfection parameters (default: ideal)")
-    p.add_argument("--format", choices=("json", "csv", "table"),
-                   default="json")
+    p.add_argument("--format", choices=_FORMATS, default="json")
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("analyze", parents=[common],
                        help="aggregate a 4x16 counts table")
     p.add_argument("counts", metavar="COUNTS_CSV")
-    p.add_argument("--format", choices=("json", "csv", "table"),
-                   default="json")
+    p.add_argument("--format", choices=_FORMATS, default="json")
     p.set_defaults(handler=_cmd_analyze)
 
     p = sub.add_parser("bounds", parents=[common],
                        help="capacity bound curves")
     p.add_argument("--encoding", type=int, choices=(3, 4), default=4)
     p.add_argument("--resolution", type=int, default=50)
-    p.add_argument("--format", choices=("json", "csv", "table"),
-                   default="csv")
+    p.add_argument("--format", choices=_FORMATS, default="csv")
     p.set_defaults(handler=_cmd_bounds)
 
     p = sub.add_parser("montecarlo", parents=[common],
@@ -382,8 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted for compatibility; iterations always run "
                         "serially and any value gives identical results")
-    p.add_argument("--format", choices=("json", "csv", "table"),
-                   default="table")
+    p.add_argument("--format", choices=_FORMATS, default="table")
     p.set_defaults(handler=_cmd_montecarlo)
 
     p = sub.add_parser("decompose", parents=[common],
@@ -391,8 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("state", metavar="STATE",
                    help="message label (Phi+, Phi-, Psi+, Psi-), a file of 16 "
                         "complex amplitudes, or an inline comma-separated list")
-    p.add_argument("--format", choices=("json", "csv", "table"),
-                   default="table")
+    p.add_argument("--format", choices=_FORMATS, default="table")
     p.set_defaults(handler=_cmd_decompose)
     return parser
 

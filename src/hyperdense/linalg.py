@@ -54,18 +54,6 @@ def density_from_ket(psi) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def is_density_matrix(rho: np.ndarray, tol: float = STRUCTURAL_TOL) -> bool:
-    rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        return False
-    if np.max(np.abs(rho - rho.conj().T)) > tol:
-        return False
-    if abs(np.trace(rho).real - 1.0) > tol or abs(np.trace(rho).imag) > tol:
-        return False
-    eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-    return bool(eigs.min() >= NEGATIVE_EIGENVALUE_FLOOR)
-
-
 def validate_density_matrix(rho: np.ndarray, tol: float = STRUCTURAL_TOL) -> np.ndarray:
     """Check hermiticity, unit trace and positivity; return rho as complex array.
 

@@ -450,13 +450,18 @@ def parse_scenario_text(text: str) -> McScenario:
                       seed=values.get("seed", DEFAULT_SEED))
 
 
-def load_scenario(path) -> McScenario:
+def parse_file(path, parse):
+    """parse(text of the file at path); a ValueError from parse names the path."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        return parse_scenario_text(text)
+        return parse(text)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def load_scenario(path) -> McScenario:
+    return parse_file(path, parse_scenario_text)
 
 
 # --- reporting --------------------------------------------------------------

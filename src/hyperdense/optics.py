@@ -23,7 +23,6 @@ to exactly one message and transfer-matrix columns sum to one.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -33,7 +32,7 @@ import numpy as np
 from .states import (
     BELL_LABELS,
     MESSAGES,
-    Message,
+    PAIR_MESSAGES,
     SourceParams,
     bell_pair_ket,
     build_source,
@@ -146,7 +145,12 @@ def two_photon_gate(gate: GateParams) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _detection_projectors_cached():
+def detection_projectors() -> tuple:
+    """Rank-4 detection projectors, one per message in canonical order.
+
+    Built from the ideal analyzer's images of the signature pairs, so
+    with a perfect source and gate the transfer matrix is the identity.
+    """
     u_ideal = two_photon_gate(GateParams())
     projectors = []
     for m in MESSAGES:
@@ -156,15 +160,6 @@ def _detection_projectors_cached():
             p += np.outer(v, v.conj())
         projectors.append(p)
     return tuple(projectors)
-
-
-def detection_projectors() -> tuple:
-    """Rank-4 detection projectors, one per message in canonical order.
-
-    Built from the ideal analyzer's images of the signature pairs, so
-    with a perfect source and gate the transfer matrix is the identity.
-    """
-    return _detection_projectors_cached()
 
 
 def transfer_matrix(source: SourceParams = SourceParams(),
@@ -223,10 +218,7 @@ def _heisenberg_constants():
     readout = bell.conj() @ analyzer_unitary(GateParams()).conj().T
     encodings = np.array([encoding_operator(m)[:4, :4] for m in MESSAGES])
     # signatures[l2*4 + l1, m] = 1 when the pair (l1, l2) signals m
-    signatures = np.zeros((16, 4))
-    for m in MESSAGES:
-        for l1, l2 in signature_map(m):
-            signatures[l2 * 4 + l1, m] = 1.0
+    signatures = np.eye(4)[PAIR_MESSAGES.reshape(4, 4).T.ravel()]
     return readout, encodings, signatures
 
 
@@ -276,43 +268,3 @@ def to_json_dict(t: TransferMatrix) -> dict:
         "labels": list(t.labels),
         "p": [[float(v) for v in row] for row in t.probabilities],
     }
-
-
-def from_json_dict(d: dict) -> TransferMatrix:
-    required = {"n", "labels", "p"}
-    missing = required - set(d)
-    if missing:
-        raise ValueError(f"transfer-matrix JSON is missing keys {sorted(missing)}")
-    if len(d["labels"]) != d["n"]:
-        raise ValueError("label count does not match n")
-    return TransferMatrix(np.array(d["p"], dtype=float), tuple(d["labels"]))
-
-
-def to_json(t: TransferMatrix) -> str:
-    return json.dumps(to_json_dict(t), indent=2)
-
-
-def from_json(text: str) -> TransferMatrix:
-    return from_json_dict(json.loads(text))
-
-
-def to_csv(t: TransferMatrix) -> str:
-    """CSV with one row per detected message; 17 significant digits."""
-    lines = ["detected," + ",".join(f"sent_{lab}" for lab in t.labels)]
-    for y, lab in enumerate(t.labels):
-        cells = ",".join(f"{v:.17g}" for v in t.probabilities[y])
-        lines.append(f"{lab},{cells}")
-    return "\n".join(lines) + "\n"
-
-
-def from_csv(text: str) -> TransferMatrix:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if len(lines) < 2:
-        raise ValueError("transfer-matrix CSV needs a header and data rows")
-    header = lines[0].split(",")
-    labels = tuple(c[len("sent_"):] for c in header[1:])
-    rows = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        rows.append([float(c) for c in cells[1:]])
-    return TransferMatrix(np.array(rows), labels)

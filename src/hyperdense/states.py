@@ -303,32 +303,21 @@ def spin_orbit_decompose(psi: np.ndarray) -> np.ndarray:
     return amps
 
 
-_SIGNATURE_MAP = {
-    Message.PHI_PLUS: (
-        (SpinOrbitBellLabel.PHI_PLUS, SpinOrbitBellLabel.PSI_PLUS),
-        (SpinOrbitBellLabel.PHI_MINUS, SpinOrbitBellLabel.PSI_MINUS),
-        (SpinOrbitBellLabel.PSI_PLUS, SpinOrbitBellLabel.PHI_PLUS),
-        (SpinOrbitBellLabel.PSI_MINUS, SpinOrbitBellLabel.PHI_MINUS),
-    ),
-    Message.PHI_MINUS: (
-        (SpinOrbitBellLabel.PHI_PLUS, SpinOrbitBellLabel.PSI_MINUS),
-        (SpinOrbitBellLabel.PHI_MINUS, SpinOrbitBellLabel.PSI_PLUS),
-        (SpinOrbitBellLabel.PSI_PLUS, SpinOrbitBellLabel.PHI_MINUS),
-        (SpinOrbitBellLabel.PSI_MINUS, SpinOrbitBellLabel.PHI_PLUS),
-    ),
-    Message.PSI_PLUS: (
-        (SpinOrbitBellLabel.PHI_PLUS, SpinOrbitBellLabel.PHI_PLUS),
-        (SpinOrbitBellLabel.PHI_MINUS, SpinOrbitBellLabel.PHI_MINUS),
-        (SpinOrbitBellLabel.PSI_PLUS, SpinOrbitBellLabel.PSI_PLUS),
-        (SpinOrbitBellLabel.PSI_MINUS, SpinOrbitBellLabel.PSI_MINUS),
-    ),
-    Message.PSI_MINUS: (
-        (SpinOrbitBellLabel.PHI_PLUS, SpinOrbitBellLabel.PHI_MINUS),
-        (SpinOrbitBellLabel.PHI_MINUS, SpinOrbitBellLabel.PHI_PLUS),
-        (SpinOrbitBellLabel.PSI_PLUS, SpinOrbitBellLabel.PSI_MINUS),
-        (SpinOrbitBellLabel.PSI_MINUS, SpinOrbitBellLabel.PSI_PLUS),
-    ),
-}
+def message_of_pair(label1: SpinOrbitBellLabel,
+                    label2: SpinOrbitBellLabel) -> Message:
+    """The message whose signature set contains the given detected pair.
+
+    With labels indexed (phi+, phi-, psi+, psi-) and messages (Phi+, Phi-,
+    Psi+, Psi-), the rule is Message(label1 ^ label2 ^ 2): Phi messages
+    pair a phi with a psi, Psi messages pair equal letters, and the +
+    messages pair equal signs.
+    """
+    return Message(label1 ^ label2 ^ 2)
+
+
+# PAIR_MESSAGES[l1*4 + l2] is message_of_pair(l1, l2): one entry per
+# canonical Bell-pair column (photon-1 label major).
+PAIR_MESSAGES = np.array([message_of_pair(l1, l2) for l1, l2 in BELL_PAIRS])
 
 
 def signature_map(message: Message) -> frozenset:
@@ -337,30 +326,9 @@ def signature_map(message: Message) -> frozenset:
     The four sets are disjoint and together cover all 16 pairs, so each
     detected pair points to exactly one message.
     """
-    return frozenset(_SIGNATURE_MAP[Message(message)])
-
-
-def message_of_pair(label1: SpinOrbitBellLabel,
-                    label2: SpinOrbitBellLabel) -> Message:
-    """The message whose signature set contains the given detected pair."""
-    for m in MESSAGES:
-        if (label1, label2) in _SIGNATURE_MAP[m]:
-            return m
-    raise AssertionError("signature sets must cover all pairs")
-
-
-def spin_marginal(rho: np.ndarray) -> np.ndarray:
-    """Reduced 4x4 state of the two spins, orbit traced out (HH, HV, VH, VV)."""
-    t = np.asarray(rho, dtype=complex).reshape([2] * 8)
-    out = np.einsum(t, [0, 1, 2, 3, 4, 1, 6, 3], [0, 2, 4, 6])
-    return out.reshape(4, 4)
-
-
-def orbit_marginal(rho: np.ndarray) -> np.ndarray:
-    """Reduced 4x4 state of the two orbital modes, spin traced out."""
-    t = np.asarray(rho, dtype=complex).reshape([2] * 8)
-    out = np.einsum(t, [0, 1, 2, 3, 0, 5, 2, 7], [1, 3, 5, 7])
-    return out.reshape(4, 4)
+    message = Message(message)
+    return frozenset(pair for pair, m in zip(BELL_PAIRS, PAIR_MESSAGES)
+                     if m == message)
 
 
 # --- model fitting ---------------------------------------------------------

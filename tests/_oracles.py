@@ -92,3 +92,18 @@ def random_channel(rng: np.random.Generator, n: int) -> np.ndarray:
     """Random column-stochastic matrix p[y, x]."""
     t = rng.random(size=(n, n))
     return t / t.sum(axis=0, keepdims=True)
+
+
+def spin_marginal(rho: np.ndarray) -> np.ndarray:
+    """Reduced 4x4 state of the two spins, orbit traced out (HH, HV, VH, VV).
+
+    Subsystem order of the 16-dim state: (spin1, orbit1, spin2, orbit2).
+    """
+    t = np.asarray(rho, dtype=complex).reshape([2] * 8)
+    return np.einsum(t, [0, 1, 2, 3, 4, 1, 6, 3], [0, 2, 4, 6]).reshape(4, 4)
+
+
+def orbit_marginal(rho: np.ndarray) -> np.ndarray:
+    """Reduced 4x4 state of the two orbital modes, spin traced out."""
+    t = np.asarray(rho, dtype=complex).reshape([2] * 8)
+    return np.einsum(t, [0, 1, 2, 3, 0, 5, 2, 7], [1, 3, 5, 7]).reshape(4, 4)

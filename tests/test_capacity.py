@@ -246,3 +246,15 @@ def test_bound_curve():
         cap.bound_curve(4, "middle")
     with pytest.raises(ValueError):
         cap.bound_curve(4, "lower", resolution=1)
+
+
+def test_bound_curve_resolution_has_an_upper_limit(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the resolution check must come first")
+
+    monkeypatch.setattr(np, "linspace", never)
+    monkeypatch.setattr(cap, "channel_capacity", never)
+    for resolution in (cap.MAX_RESOLUTION + 1, 10**9):
+        with pytest.raises(ValueError, match=r"resolution must lie in "
+                                             r"\[2, 10000\], got"):
+            cap.bound_curve(4, "lower", resolution=resolution)

@@ -17,6 +17,7 @@ from hyperdense import cli, optics, states
 from hyperdense import montecarlo as mc
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+GOLDEN = Path(__file__).resolve().parent / "cli_golden.txt"
 
 
 def run_cli(capsys, *argv):
@@ -248,6 +249,50 @@ def test_analyze_rejects_malformed_tables(capsys, tmp_path):
     bad.write_text("\n".join(lines) + "\n")
     rc, _, err = run_cli(capsys, "analyze", str(bad))
     assert rc == 2 and "canonical order" in err
+
+
+@pytest.mark.parametrize("cell", ["abc", "", "711.5", "-13"])
+def test_analyze_errors_name_file_row_and_column(capsys, tmp_path, cell):
+    lines = make_counts_csv(signal=711, noise=13).splitlines()
+    cells = lines[2].split(",")
+    cells[3] = cell
+    lines[2] = ",".join(cells)
+    path = tmp_path / "counts.csv"
+    path.write_text("\n".join(lines) + "\n")
+    rc, out, err = run_cli(capsys, "analyze", str(path))
+    assert (rc, out) == (2, "")
+    assert err == (f"error: {path}: row 3, column 'f+y+': counts must be "
+                   f"non-negative integers, got {cell!r}\n")
+
+
+# {argv: stdout}; each section of cli_golden.txt opens with a `### argv` line
+GOLDEN_OUTPUTS = dict(
+    section.partition("\n")[::2]
+    for section in GOLDEN.read_text(encoding="utf-8").split("### ")[1:])
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_OUTPUTS))
+def test_output_is_byte_pinned(capsys, tmp_path, argv):
+    """Every command in every format, on inputs whose printed numbers are
+    exact; a layout change shows here as a diff against cli_golden.txt."""
+    counts = tmp_path / "counts.csv"
+    counts.write_text(make_counts_csv(signal=500, noise=0))
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text("name = ideal\niterations = 2\n")
+    rc, out, err = run_cli(capsys, *(a.format(counts=counts, scenario=scenario)
+                                     for a in argv.split()))
+    assert (rc, err) == (0, "")
+    assert out == GOLDEN_OUTPUTS[argv]
+
+
+def test_bounds_resolution_has_an_upper_limit(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the resolution check must come first")
+
+    monkeypatch.setattr(np, "linspace", never)
+    rc, out, err = run_cli(capsys, "bounds", "--resolution", str(10**9))
+    assert (rc, out) == (2, "")
+    assert err == "error: resolution must lie in [2, 10000], got 1000000000\n"
 
 
 def test_bounds_csv(capsys):
