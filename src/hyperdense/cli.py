@@ -280,6 +280,8 @@ def _parse_amplitudes(text: str) -> np.ndarray:
     except ValueError as exc:
         raise ValueError(f"could not parse amplitude: {exc}") from None
     psi = np.array(values, dtype=complex)
+    if not np.isfinite(psi).all():
+        raise ValueError("amplitudes must be finite")
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > 1e-6:
         raise ValueError(f"amplitudes must be normalized, got norm {norm:.8g}")

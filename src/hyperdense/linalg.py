@@ -10,11 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 # Centralized tolerances.  Structural checks (hermiticity, trace, norm)
-# use STRUCTURAL_TOL; value comparisons in calling code use
-# COMPARISON_TOL; eigenvalues of nominally PSD matrices may dip to
+# use STRUCTURAL_TOL; eigenvalues of nominally PSD matrices may dip to
 # NEGATIVE_EIGENVALUE_FLOOR before being treated as invalid.
 STRUCTURAL_TOL = 1e-10
-COMPARISON_TOL = 1e-8
 NEGATIVE_EIGENVALUE_FLOOR = -1e-9
 
 _PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -23,23 +21,6 @@ _PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two kets or two operators."""
     return np.kron(np.asarray(a), np.asarray(b))
-
-
-def adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a).conj().T
-
-
-def normalize_ket(amplitudes) -> np.ndarray:
-    """Return a unit-norm complex ket built from `amplitudes`.
-
-    Raises ValueError on a zero vector.
-    """
-    psi = np.asarray(amplitudes, dtype=complex).ravel()
-    norm = np.linalg.norm(psi)
-    if norm < STRUCTURAL_TOL:
-        raise ValueError("cannot normalize a zero ket")
-    return psi / norm
 
 
 def basis_ket(dim: int, index: int) -> np.ndarray:

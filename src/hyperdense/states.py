@@ -212,6 +212,10 @@ def build_source(params: SourceParams) -> np.ndarray:
     return _interleave_matrix(tensor_product(rho_spin, rho_orbit))
 
 
+# (first, last, sign) of each pair model ket, as used by _pair_density_stack
+_PAIR_MODELS = {"spin": (0, 3, -1.0), "orbit": (1, 2, 1.0)}
+
+
 def _pair_density_stack(first, last, sign, eps_theta, eps_phi, lam):
     # depolarize(density_from_ket(model ket), lam) per draw: the model ket
     # is cos(theta)|first> + sign e^(i phi) sin(theta)|last>
@@ -231,10 +235,10 @@ def build_source_stack(eps_theta_spin, eps_phi_spin, lambda_spin,
     Returns shape (n, 16, 16), one source per setting.  The parameters
     are not range-checked here.
     """
-    spin = _pair_density_stack(0, 3, -1.0, eps_theta_spin, eps_phi_spin,
-                               lambda_spin).reshape(-1, 2, 2, 2, 2)
-    orbit = _pair_density_stack(1, 2, 1.0, eps_theta_orbit, eps_phi_orbit,
-                                lambda_orbit).reshape(-1, 2, 2, 2, 2)
+    spin = _pair_density_stack(*_PAIR_MODELS["spin"], eps_theta_spin,
+                               eps_phi_spin, lambda_spin).reshape(-1, 2, 2, 2, 2)
+    orbit = _pair_density_stack(*_PAIR_MODELS["orbit"], eps_theta_orbit,
+                                eps_phi_orbit, lambda_orbit).reshape(-1, 2, 2, 2, 2)
     # [s1 s2 s1' s2'] x [o1 o2 o1' o2'] -> [s1 o1 s2 o2 s1' o1' s2' o2']
     rho = np.einsum("nabcd,nefgh->naebfcgdh", spin, orbit)
     return rho.reshape(-1, 16, 16)
@@ -343,73 +347,85 @@ class FitResult:
 
 
 def _mixed_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    # (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 via eigendecompositions
-    w, v = np.linalg.eigh(rho)
-    w = np.clip(w, 0.0, None)
-    sqrt_rho = (v * np.sqrt(w)) @ v.conj().T
-    inner = np.linalg.eigvalsh(sqrt_rho @ sigma @ sqrt_rho)
-    inner = np.clip(inner, 0.0, None)
-    return float(np.sum(np.sqrt(inner)) ** 2)
+    # Uhlmann fidelity as the squared nuclear norm of sqrt(rho) sqrt(sigma).
+    # Eigenvalues below 1e-14 of the largest are rounding noise on zeros;
+    # their square roots (~1e-8) would lift the fidelity of pure states above 1.
+    w, v = np.linalg.eigh(np.stack([rho, sigma]))
+    w[w < 1e-14 * w[:, -1:]] = 0.0
+    roots = (v * np.sqrt(w)[:, None, :]) @ np.swapaxes(v.conj(), 1, 2)
+    return float(np.linalg.svd(roots[0] @ roots[1], compute_uv=False).sum() ** 2)
 
 
-_FIT_GRID_THETA = (-0.15, 0.0, 0.15)
-_FIT_GRID_PHI = (-2.0, 0.0, 2.0)
-_FIT_GRID_LAM = (0.05, 0.45, 0.9)
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_max(f, lo: float, hi: float) -> tuple:
+    """(x, f(x)) at the maximum of a unimodal f on [lo, hi], to 1e-10 in x."""
+    c, d = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > 1e-10:
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - _GOLDEN * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _GOLDEN * (hi - lo)
+            fd = f(d)
+    return (c, fc) if fc >= fd else (d, fd)
 
 
 def fit_model_params(rho: np.ndarray, which: str = "spin") -> FitResult:
     """Fit (eps_theta, eps_phi, lam) of the depolarized model to a 4x4 state.
 
-    Parameters
-    ----------
-    rho : (4, 4) density matrix of a spin or orbit photon pair.
-    which : "spin" or "orbit", selecting the model ket family.
-
-    Maximizes the fidelity between depolarize(|model>, lam) and rho with
-    Nelder-Mead, restarted from a coarse 3x3x3 grid in addition to the
-    default start (0, 0, 0.01).  The relative phase is unidentifiable in
-    the fully mixed limit, so eps_phi is reported as 0 when lam is
-    within 1e-6 of 1.  eps_phi is wrapped into (-pi, pi].
+    rho is the (4, 4) density matrix of a spin or orbit photon pair, and
+    which ("spin" or "orbit") selects the model ket family.  The fit
+    maximizes the fidelity between depolarize(|model>, lam) and rho.  It
+    starts from the top eigenpair (w, v) of rho, exact on model states:
+    lam = 4(1 - w)/3, and the angles come from v's entries in the model
+    subspace.  Cyclic golden-section searches over eps_theta in
+    [-pi/4, pi/4], eps_phi within pi of its current value and lam in
+    [0, 1] refine it until a sweep no longer raises the fidelity;
+    converged is False if that takes over 100 sweeps.  eps_phi is wrapped
+    into (-pi, pi], and reported as 0 when lam is within 1e-6 of 1, where
+    the phase is unidentifiable.
     """
-    # imported here: scipy.optimize adds about 48 MB of resident memory and
-    # 0.5 s of import time that no other path of the package needs
-    from scipy.optimize import minimize
-
     rho = validate_density_matrix(rho)
     if rho.shape != (4, 4):
         raise ValueError(f"fit expects a 4x4 state, got shape {rho.shape}")
-    if which == "spin":
-        model = model_spin_state
-    elif which == "orbit":
-        model = model_orbit_state
-    else:
+    if which not in _PAIR_MODELS:
         raise ValueError(f"which must be 'spin' or 'orbit', got {which!r}")
+    first, last, sign = _PAIR_MODELS[which]
 
-    def negative_fidelity(x):
-        sigma = depolarize(density_from_ket(model(x[0], x[1])), x[2])
-        return -_mixed_fidelity(rho, sigma)
+    w, v = np.linalg.eigh(rho)
+    top = v[:, -1]
+    x = [math.atan2(abs(top[last]), abs(top[first])) - math.pi / 4.0,
+         float(np.angle(sign * top[last] * np.conj(top[first]))),
+         float(min(max(4.0 * (1.0 - w[-1]) / 3.0, 0.0), 1.0))]
 
-    bounds = [(-math.pi / 4, math.pi / 4), (-math.pi, math.pi), (0.0, 1.0)]
-    starts = [(0.0, 0.0, 0.01)]
-    starts += list(itertools.product(_FIT_GRID_THETA, _FIT_GRID_PHI,
-                                     _FIT_GRID_LAM))
+    def fidelity_at(y):
+        sigma = _pair_density_stack(first, last, sign, [y[0]], [y[1]], [y[2]])
+        return _mixed_fidelity(rho, sigma[0])
 
-    best = None
-    for x0 in starts:
-        res = minimize(negative_fidelity, x0, method="Nelder-Mead",
-                       bounds=bounds,
-                       options={"xatol": 1e-7, "fatol": 1e-10,
-                                "maxiter": 4000})
-        if best is None or res.fun < best.fun:
-            best = res
+    best = fidelity_at(x)
+    for _ in range(100):
+        previous = best
+        intervals = ((-math.pi / 4.0, math.pi / 4.0),
+                     (x[1] - math.pi, x[1] + math.pi), (0.0, 1.0))
+        for i, (lo, hi) in enumerate(intervals):
+            t, f = _golden_max(
+                lambda t: fidelity_at(x[:i] + [t] + x[i + 1:]), lo, hi)
+            if f > best:
+                x[i], best = t, f
+        if best <= previous:
+            break
+    converged = best <= previous
 
-    eps_theta, eps_phi, lam = best.x
-    lam = min(max(lam, 0.0), 1.0)
+    eps_theta, eps_phi, lam = x
     eps_phi = math.remainder(eps_phi, 2.0 * math.pi)
     if eps_phi <= -math.pi:
         eps_phi = math.pi
     if 1.0 - lam < 1e-6:
         eps_phi = 0.0
-    return FitResult(eps_theta=float(eps_theta), eps_phi=float(eps_phi),
-                     lam=float(lam), fidelity=float(-best.fun),
-                     converged=bool(best.success))
+    return FitResult(eps_theta=eps_theta, eps_phi=eps_phi, lam=lam,
+                     fidelity=best, converged=converged)

@@ -8,6 +8,7 @@ the same number.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -107,3 +108,63 @@ def orbit_marginal(rho: np.ndarray) -> np.ndarray:
     """Reduced 4x4 state of the two orbital modes, spin traced out."""
     t = np.asarray(rho, dtype=complex).reshape([2] * 8)
     return np.einsum(t, [0, 1, 2, 3, 0, 5, 2, 7], [1, 3, 5, 7]).reshape(4, 4)
+
+
+def pair_model_density(which: str, eps_theta: float, eps_phi: float,
+                       lam: float) -> np.ndarray:
+    """Depolarized model pair state (1 - lam)|m><m| + lam I/4.
+
+    spin:  |m> = cos(pi/4 + t)|HH> - e^(i p) sin(pi/4 + t)|VV>
+    orbit: |m> = cos(pi/4 + t)|lr> + e^(i p) sin(pi/4 + t)|rl>
+    """
+    first, last, sign = {"spin": (0, 3, -1.0), "orbit": (1, 2, 1.0)}[which]
+    m = np.zeros(4, dtype=complex)
+    m[first] = np.cos(np.pi / 4 + eps_theta)
+    m[last] = sign * np.exp(1j * eps_phi) * np.sin(np.pi / 4 + eps_theta)
+    return (1.0 - lam) * np.outer(m, m.conj()) + lam * np.eye(4) / 4.0
+
+
+def uhlmann_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """(Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 via eigendecompositions."""
+    w, v = np.linalg.eigh(rho)
+    w = np.clip(w, 0.0, None)
+    sqrt_rho = (v * np.sqrt(w)) @ v.conj().T
+    inner = np.linalg.eigvalsh(sqrt_rho @ sigma @ sqrt_rho)
+    inner = np.clip(inner, 0.0, None)
+    return float(np.sum(np.sqrt(inner)) ** 2)
+
+
+def fit_model_params_nelder_mead(rho: np.ndarray, which: str = "spin") -> tuple:
+    """Reference source fit: (eps_theta, eps_phi, lam) of pair_model_density.
+
+    Maximizes uhlmann_fidelity with bounded Nelder-Mead, restarted from
+    a coarse 3x3x3 grid in addition to the start (0, 0, 0.01), and keeps
+    the best of the 28 runs.  eps_phi is wrapped into (-pi, pi] and
+    reported as 0 when lam is within 1e-6 of 1.  Needs scipy.
+    """
+    from scipy.optimize import minimize
+
+    def negative_fidelity(x):
+        return -uhlmann_fidelity(rho, pair_model_density(which, *x))
+
+    bounds = [(-np.pi / 4, np.pi / 4), (-np.pi, np.pi), (0.0, 1.0)]
+    starts = [(0.0, 0.0, 0.01)]
+    starts += list(itertools.product((-0.15, 0.0, 0.15), (-2.0, 0.0, 2.0),
+                                     (0.05, 0.45, 0.9)))
+    best = None
+    for x0 in starts:
+        res = minimize(negative_fidelity, x0, method="Nelder-Mead",
+                       bounds=bounds,
+                       options={"xatol": 1e-7, "fatol": 1e-10,
+                                "maxiter": 4000})
+        if best is None or res.fun < best.fun:
+            best = res
+
+    eps_theta, eps_phi, lam = best.x
+    lam = min(max(lam, 0.0), 1.0)
+    eps_phi = math.remainder(eps_phi, 2.0 * math.pi)
+    if eps_phi <= -math.pi:
+        eps_phi = math.pi
+    if 1.0 - lam < 1e-6:
+        eps_phi = 0.0
+    return float(eps_theta), float(eps_phi), float(lam)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperdense import capacity as cap
 from hyperdense import optics, states
@@ -71,14 +73,18 @@ def test_capacity_split_channel_closed_form():
     assert abs(result.capacity_bits - 1.779) < 1e-3
 
 
-def test_capacity_permutation_invariance():
-    rng = np.random.default_rng(47)
-    for _ in range(10):
-        t = random_channel(rng, 4)
-        base = cap.channel_capacity(t).capacity_bits
-        perm = rng.permutation(4)
-        shuffled = cap.channel_capacity(t[:, perm]).capacity_bits
-        assert abs(base - shuffled) < 1e-9
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from([2, 3, 4]), seed=st.integers(0, 2**32 - 1))
+def test_capacity_permutation_invariance(n, seed):
+    rng = np.random.default_rng(seed)
+    t = random_channel(rng, n)
+    shuffled = t[rng.permutation(n)][:, rng.permutation(n)]
+    stacked = cap.channel_capacity_stack(np.stack([t, shuffled]))[0]
+    for channel, from_stack in zip((t, shuffled), stacked):
+        c = cap.channel_capacity(channel).capacity_bits
+        assert abs(c - from_stack) < 1e-12
+        assert 0.0 <= c <= math.log2(n)
+    assert abs(stacked[0] - stacked[1]) < 1e-9
 
 
 def test_mutual_information_below_capacity():

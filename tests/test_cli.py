@@ -433,6 +433,10 @@ def test_decompose_rejects_bad_input(capsys):
     rc, _, err = run_cli(capsys, "decompose", ",".join(["lemon"] + ["0"] * 15))
     assert rc == 2 and "could not parse amplitude" in err
 
+    rc, out, err = run_cli(capsys, "decompose", ",".join(["nan"] + ["0"] * 15),
+                           "--format", "json")
+    assert rc == 2 and "finite" in err and out == ""
+
 
 def test_out_writes_file(capsys, tmp_path):
     out_path = tmp_path / "result.json"
@@ -453,6 +457,39 @@ def _console_script_target(name: str) -> str:
         return tomllib.load(f)["project"]["scripts"][name]
 
 
+def _package_env() -> dict:
+    """Environment in which a subprocess imports the package this test
+    imported, wherever pytest found it (an install, PYTHONPATH or
+    pyproject's pythonpath)."""
+    package_root = str(Path(hyperdense.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+def test_import_and_every_subcommand_leave_scipy_unloaded(tmp_path):
+    counts = tmp_path / "counts.csv"
+    counts.write_text(make_counts_csv(signal=500, noise=3))
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text("name = ideal\niterations = 2\n")
+    script = (
+        "import contextlib, io, sys\n"
+        "import hyperdense\n"
+        "assert 'scipy' not in sys.modules, 'import hyperdense loads scipy'\n"
+        "from hyperdense import cli\n"
+        f"for argv in [['simulate'], ['analyze', {str(counts)!r}],\n"
+        "             ['bounds', '--resolution', '2'], ['decompose', 'Psi-'],\n"
+        f"             ['montecarlo', '--scenario', {str(scenario)!r}]]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=_package_env())
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[]\n"
+
+
 def test_console_entry_point():
     target = _console_script_target("hyperdense")
     module_name, _, attr = target.partition(":")
@@ -467,12 +504,7 @@ def test_console_entry_point():
                 f"from {module_name} import {attr}\n"
                 f"sys.argv[0] = 'hyperdense'\n"
                 f"sys.exit({attr}())\n")
-    # The subprocesses import the package this test imported, wherever
-    # pytest found it (an install, PYTHONPATH or pyproject's pythonpath).
-    package_root = str(Path(hyperdense.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [package_root] + [p for p in [env.get("PYTHONPATH")] if p])
+    env = _package_env()
 
     def run_script(*argv):
         return subprocess.run([sys.executable, "-c", launcher, *argv],

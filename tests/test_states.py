@@ -4,11 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperdense import linalg, states
 from hyperdense.states import Message, SpinOrbitBellLabel
 
-from _oracles import orbit_marginal, random_ket, spin_marginal
+from _oracles import (
+    fit_model_params_nelder_mead,
+    orbit_marginal,
+    random_density,
+    random_ket,
+    spin_marginal,
+)
 
 _DEG = math.pi / 180.0
 _SQRT2 = math.sqrt(2.0)
@@ -274,3 +282,56 @@ def test_fit_ideal_and_fully_mixed():
     mixed = states.fit_model_params(np.eye(4) / 4.0, "spin")
     assert mixed.lam > 0.999
     assert mixed.eps_phi == 0.0
+
+
+_MODELS = {"spin": states.model_spin_state, "orbit": states.model_orbit_state}
+
+
+def _model_density(which, eps_theta, eps_phi, lam):
+    return states.depolarize(
+        linalg.density_from_ket(_MODELS[which](eps_theta, eps_phi)), lam)
+
+
+@pytest.mark.parametrize("which", ["spin", "orbit"])
+def test_fidelity_of_pure_model_states_is_at_most_one(which):
+    for eps_theta, eps_phi in [(0.0, 0.0), (0.05, 0.3), (0.3, -2.0),
+                               (-0.7, 3.1), (math.pi / 4, 1.0)]:
+        rho = _model_density(which, eps_theta, eps_phi, 0.0)
+        assert abs(states._mixed_fidelity(rho, rho) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("which", ["spin", "orbit"])
+def test_fit_recovers_exact_model_states(which):
+    for lam in [0.0, 0.01, 0.1, 0.5, 0.9, 0.99, 0.995, 0.999]:
+        fit = states.fit_model_params(_model_density(which, 0.05, 0.3, lam),
+                                      which)
+        assert fit.converged
+        assert abs(fit.eps_theta - 0.05) <= 1e-4, lam
+        assert abs(fit.eps_phi - 0.3) <= 1e-4, lam
+        assert abs(fit.lam - lam) <= 1e-6, lam
+        assert fit.fidelity >= 1.0 - 1e-12, lam
+
+
+@pytest.fixture(scope="module")
+def nelder_mead_fit():
+    pytest.importorskip("scipy")
+    return fit_model_params_nelder_mead
+
+
+@settings(max_examples=12, deadline=None)
+@given(which=st.sampled_from(["spin", "orbit"]),
+       seed=st.integers(0, 2**32 - 1),
+       near_model=st.booleans(),
+       model=st.tuples(st.floats(-math.pi / 4, math.pi / 4),
+                       st.floats(-math.pi, math.pi), st.floats(0.0, 1.0)))
+def test_fit_matches_nelder_mead_oracle(nelder_mead_fit, which, seed,
+                                        near_model, model):
+    rho = random_density(np.random.default_rng(seed), 4)
+    if near_model:
+        rho = 0.95 * _model_density(which, *model) + 0.05 * rho
+    fit = states.fit_model_params(rho, which)
+    want = states._mixed_fidelity(
+        rho, _model_density(which, *nelder_mead_fit(rho, which)))
+    got = states._mixed_fidelity(
+        rho, _model_density(which, fit.eps_theta, fit.eps_phi, fit.lam))
+    assert got >= want - 1e-9
