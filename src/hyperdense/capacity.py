@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optics import TransferMatrix
+from .optics import TransferMatrix, check_channel
 from .states import MESSAGES, PAIR_MESSAGES
 
 _LN2 = math.log(2.0)
@@ -33,13 +33,19 @@ MAX_RESOLUTION = 10_000
 def _prob_matrix(t) -> np.ndarray:
     if isinstance(t, TransferMatrix):
         return t.probabilities
-    return np.asarray(t, dtype=float)
+    p = np.asarray(t, dtype=float)
+    if p.ndim != 2 or p.shape[0] != p.shape[1]:
+        raise ValueError(f"channel must be a square matrix, got shape {p.shape}")
+    return check_channel(p)
 
 
 def validate_input_distribution(px, n: int) -> np.ndarray:
+    """px as a float array of n finite, non-negative entries summing to 1."""
     px = np.asarray(px, dtype=float).ravel()
     if px.shape != (n,):
         raise ValueError(f"input distribution must have {n} entries, got {px.shape}")
+    if not np.isfinite(px).all():
+        raise ValueError(f"input distribution must be finite, got {px}")
     if px.min() < 0.0:
         raise ValueError(f"input distribution has negative entry {px.min()}")
     total = px.sum()
@@ -67,6 +73,8 @@ def mutual_information(px, t) -> float:
 
 @dataclass(frozen=True)
 class CapacityResult:
+    """Capacity in bits, the optimal input distribution and solve statistics."""
+
     capacity_bits: float
     input_distribution: np.ndarray
     iterations: int

@@ -16,6 +16,7 @@ digits.  Every command is deterministic given its inputs and seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -141,12 +142,9 @@ def _write_output(text: str, out) -> None:
 # --- simulate ----------------------------------------------------------------
 
 def _cmd_simulate(args) -> str:
-    if args.params:
-        source, gate, accidentals = load_params(args.params)
-    else:
-        source = states.SourceParams()
-        gate = optics.GateParams()
-        accidentals = optics.AccidentalModel(fraction=0.0)
+    source, gate, accidentals = (
+        load_params(args.params) if args.params
+        else _records(mc.ImperfectionParams.from_values({})))
     t = optics.transfer_matrix(source, gate)
     if accidentals.fraction > 0.0:
         t = optics.apply_accidentals(t, accidentals)
@@ -240,9 +238,7 @@ def _cmd_montecarlo(args) -> str:
     else:
         scenarios = [mc.builtin_scenario(args.builtin)]
     if args.seed is not None:
-        scenarios = [mc.McScenario(s.name, s.active, s.distributions,
-                                   s.iterations, args.seed)
-                     for s in scenarios]
+        scenarios = [dataclasses.replace(s, seed=args.seed) for s in scenarios]
     results = [mc.run(s, jobs=args.jobs) for s in scenarios]
     budget = None
     if args.builtin == "full":
@@ -396,6 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the ``hyperdense`` command line; returns the exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -23,12 +23,6 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a), np.asarray(b))
 
 
-def basis_ket(dim: int, index: int) -> np.ndarray:
-    psi = np.zeros(dim, dtype=complex)
-    psi[index] = 1.0
-    return psi
-
-
 def density_from_ket(psi) -> np.ndarray:
     """Rank-1 density matrix |psi><psi| from a unit ket."""
     psi = np.asarray(psi, dtype=complex).ravel()

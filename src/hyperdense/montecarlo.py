@@ -20,7 +20,7 @@ customary lab unit) and converted to radians in _to_fields.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -178,19 +178,14 @@ class ImperfectionParams:
         """Record from {file key: value}; missing keys are 0 (ideal)."""
         return cls(**_to_fields(values, 0.0))
 
+    def _record(self, cls):
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
+
     def source_params(self) -> SourceParams:
-        return SourceParams(
-            eps_theta_spin=self.eps_theta_spin,
-            eps_phi_spin=self.eps_phi_spin,
-            lambda_spin=self.lambda_spin,
-            eps_theta_orbit=self.eps_theta_orbit,
-            eps_phi_orbit=self.eps_phi_orbit,
-            lambda_orbit=self.lambda_orbit,
-        )
+        return self._record(SourceParams)
 
     def gate_params(self) -> GateParams:
-        return GateParams(eps_H=self.eps_H, eps_V=self.eps_V,
-                          phi1=self.phi1, phi2=self.phi2)
+        return self._record(GateParams)
 
     def accidental_model(self) -> AccidentalModel:
         return AccidentalModel(fraction=self.accidental_fraction)
@@ -268,6 +263,7 @@ def default_scenarios() -> list:
 
 
 def builtin_scenario(name: str) -> McScenario:
+    """The builtin scenario called ``name`` (see default_scenarios)."""
     for s in default_scenarios():
         if s.name == name:
             return s
@@ -315,6 +311,8 @@ def sample_params(scenario: McScenario, iteration_index: int) -> ImperfectionPar
 
 @dataclass(frozen=True)
 class McResult:
+    """Capacity and success probability of every draw of one scenario."""
+
     scenario: McScenario
     capacity_bits: np.ndarray
     success_probability: np.ndarray
@@ -461,12 +459,14 @@ def parse_file(path, parse):
 
 
 def load_scenario(path) -> McScenario:
+    """Parse the scenario file at ``path``; errors name the path and line."""
     return parse_file(path, parse_scenario_text)
 
 
 # --- reporting --------------------------------------------------------------
 
 def result_to_json_dict(result: McResult) -> dict:
+    """JSON-ready dict of a result: its scenario, summary and every draw."""
     s = result.scenario
     return {
         "scenario": {

@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .states import (
-    BELL_LABELS,
+    _BELL_KETS,
     MESSAGES,
     PAIR_MESSAGES,
     SourceParams,
@@ -39,7 +39,6 @@ from .states import (
     encode,
     encoding_operator,
     signature_map,
-    spin_orbit_bell_ket,
 )
 
 MESSAGE_LABELS = tuple(m.label for m in MESSAGES)
@@ -82,6 +81,20 @@ class AccidentalModel:
                 f"accidental fraction must lie in [0, 1), got {self.fraction}")
 
 
+def check_channel(p) -> np.ndarray:
+    """p[y, x] as a float array; ValueError unless every entry is finite and
+    in [0, 1] (to 1e-12) and every column sums to 1 within 1e-9."""
+    p = np.asarray(p, dtype=float)
+    if not np.isfinite(p).all():
+        raise ValueError("entries must be finite")
+    if p.min() < -1e-12 or p.max() > 1.0 + 1e-12:
+        raise ValueError("entries must be probabilities in [0, 1]")
+    col = p.sum(axis=0)
+    if np.max(np.abs(col - 1.0)) > 1e-9:
+        raise ValueError(f"columns must sum to 1 within 1e-9, got {col}")
+    return p
+
+
 @dataclass(frozen=True)
 class TransferMatrix:
     """Column-stochastic conditional-detection matrix p(detected | sent).
@@ -101,12 +114,7 @@ class TransferMatrix:
         if p.shape != (n, n):
             raise ValueError(
                 f"expected a {n}x{n} matrix for {n} labels, got {p.shape}")
-        if p.min() < -1e-12 or p.max() > 1.0 + 1e-12:
-            raise ValueError("entries must be probabilities in [0, 1]")
-        col = p.sum(axis=0)
-        if np.max(np.abs(col - 1.0)) > 1e-9:
-            raise ValueError(
-                f"columns must sum to 1 within 1e-9, got {col}")
+        check_channel(p)
 
     @property
     def n(self) -> int:
@@ -214,8 +222,7 @@ def analyzer_unitary_stack(eps_H, eps_V, phi1, phi2) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _heisenberg_constants():
-    bell = np.array([spin_orbit_bell_ket(label) for label in BELL_LABELS])
-    readout = bell.conj() @ analyzer_unitary(GateParams()).conj().T
+    readout = _BELL_KETS.conj() @ analyzer_unitary(GateParams()).conj().T
     encodings = np.array([encoding_operator(m)[:4, :4] for m in MESSAGES])
     # signatures[l2*4 + l1, m] = 1 when the pair (l1, l2) signals m
     signatures = np.eye(4)[PAIR_MESSAGES.reshape(4, 4).T.ravel()]

@@ -36,18 +36,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    basis_ket,
-    density_from_ket,
-    tensor_product,
-    validate_density_matrix,
-)
-
-_SQRT2 = math.sqrt(2.0)
+from .linalg import density_from_ket, tensor_product, validate_density_matrix
 
 _PAULI_I = np.eye(2, dtype=complex)
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+_MESSAGE_LABELS = ("Phi+", "Phi-", "Psi+", "Psi-")
 
 
 class Message(enum.IntEnum):
@@ -64,21 +60,18 @@ class Message(enum.IntEnum):
 
     @classmethod
     def from_label(cls, label: str) -> "Message":
-        for m in cls:
-            if _MESSAGE_LABELS[m] == label:
-                return m
-        raise ValueError(f"unknown message label {label!r}, expected one of "
-                         f"{[_MESSAGE_LABELS[m] for m in cls]}")
+        if label not in _MESSAGE_LABELS:
+            raise ValueError(f"unknown message label {label!r}, expected one "
+                             f"of {list(_MESSAGE_LABELS)}")
+        return cls(_MESSAGE_LABELS.index(label))
 
-
-_MESSAGE_LABELS = {
-    Message.PHI_PLUS: "Phi+",
-    Message.PHI_MINUS: "Phi-",
-    Message.PSI_PLUS: "Psi+",
-    Message.PSI_MINUS: "Psi-",
-}
 
 MESSAGES = tuple(Message)
+
+
+_BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
+# f/y stand in for phi/psi in CSV headers
+_BELL_ASCII = ("f+", "f-", "y+", "y-")
 
 
 class SpinOrbitBellLabel(enum.IntEnum):
@@ -95,29 +88,20 @@ class SpinOrbitBellLabel(enum.IntEnum):
 
     @property
     def ascii(self) -> str:
-        # f/y stand in for phi/psi in CSV headers
         return _BELL_ASCII[self]
 
-
-_BELL_LABELS = {
-    SpinOrbitBellLabel.PHI_PLUS: "phi+",
-    SpinOrbitBellLabel.PHI_MINUS: "phi-",
-    SpinOrbitBellLabel.PSI_PLUS: "psi+",
-    SpinOrbitBellLabel.PSI_MINUS: "psi-",
-}
-
-_BELL_ASCII = {
-    SpinOrbitBellLabel.PHI_PLUS: "f+",
-    SpinOrbitBellLabel.PHI_MINUS: "f-",
-    SpinOrbitBellLabel.PSI_PLUS: "y+",
-    SpinOrbitBellLabel.PSI_MINUS: "y-",
-}
 
 BELL_LABELS = tuple(SpinOrbitBellLabel)
 
 # All 16 (photon1, photon2) spin-orbit Bell pairs in canonical order:
 # photon-1 label major, photon-2 label minor.
 BELL_PAIRS = tuple(itertools.product(BELL_LABELS, BELL_LABELS))
+
+# Row l is the ket of label l in the (Hl, Hr, Vl, Vr) basis.
+_BELL_KETS = np.array([[1, 0, 0, 1], [1, 0, 0, -1],
+                       [0, 1, 1, 0], [0, 1, -1, 0]], dtype=complex) / math.sqrt(2.0)
+# Row l1*4 + l2 is the product ket of the pair (l1, l2), photon-1 major.
+_PAIR_KETS = np.kron(_BELL_KETS, _BELL_KETS)
 
 
 @dataclass(frozen=True)
@@ -147,22 +131,27 @@ class SourceParams:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
 
 
-def model_spin_state(eps_theta: float, eps_phi: float) -> np.ndarray:
-    """Imperfect spin pair ket cos(pi/4+t)|HH> - e^(i p) sin(pi/4+t)|VV>."""
+# (first, last, sign): the ket cos(pi/4+t)|first> + sign e^(i p) sin(pi/4+t)|last>
+_PAIR_MODELS = {"spin": (0, 3, -1.0), "orbit": (1, 2, 1.0)}
+
+
+def _model_ket(which: str, eps_theta: float, eps_phi: float) -> np.ndarray:
+    first, last, sign = _PAIR_MODELS[which]
     theta = math.pi / 4.0 + eps_theta
     psi = np.zeros(4, dtype=complex)
-    psi[0] = math.cos(theta)
-    psi[3] = -np.exp(1j * eps_phi) * math.sin(theta)
+    psi[first] = math.cos(theta)
+    psi[last] = sign * np.exp(1j * eps_phi) * math.sin(theta)
     return psi
+
+
+def model_spin_state(eps_theta: float, eps_phi: float) -> np.ndarray:
+    """Imperfect spin pair ket cos(pi/4+t)|HH> - e^(i p) sin(pi/4+t)|VV>."""
+    return _model_ket("spin", eps_theta, eps_phi)
 
 
 def model_orbit_state(eps_theta: float, eps_phi: float) -> np.ndarray:
     """Imperfect orbit pair ket cos(pi/4+t)|lr> + e^(i p) sin(pi/4+t)|rl>."""
-    theta = math.pi / 4.0 + eps_theta
-    psi = np.zeros(4, dtype=complex)
-    psi[1] = math.cos(theta)
-    psi[2] = np.exp(1j * eps_phi) * math.sin(theta)
-    return psi
+    return _model_ket("orbit", eps_theta, eps_phi)
 
 
 def depolarize(rho: np.ndarray, lam: float) -> np.ndarray:
@@ -185,11 +174,14 @@ def _interleave_matrix(mat: np.ndarray) -> np.ndarray:
     return t.reshape(16, 16)
 
 
+def _ideal_ket() -> np.ndarray:
+    return _interleave_ket(tensor_product(model_spin_state(0.0, 0.0),
+                                          model_orbit_state(0.0, 0.0)))
+
+
 def ideal_source() -> np.ndarray:
     """Density matrix of the perfect hyperentangled source (pure, 16x16)."""
-    spin = model_spin_state(0.0, 0.0)
-    orbit = model_orbit_state(0.0, 0.0)
-    return density_from_ket(_interleave_ket(tensor_product(spin, orbit)))
+    return density_from_ket(_ideal_ket())
 
 
 def build_source(params: SourceParams) -> np.ndarray:
@@ -212,13 +204,8 @@ def build_source(params: SourceParams) -> np.ndarray:
     return _interleave_matrix(tensor_product(rho_spin, rho_orbit))
 
 
-# (first, last, sign) of each pair model ket, as used by _pair_density_stack
-_PAIR_MODELS = {"spin": (0, 3, -1.0), "orbit": (1, 2, 1.0)}
-
-
 def _pair_density_stack(first, last, sign, eps_theta, eps_phi, lam):
-    # depolarize(density_from_ket(model ket), lam) per draw: the model ket
-    # is cos(theta)|first> + sign e^(i phi) sin(theta)|last>
+    # depolarize(density_from_ket(_model_ket(...)), lam) per draw
     theta = math.pi / 4.0 + np.asarray(eps_theta, dtype=float)
     lam = np.asarray(lam, dtype=float)[:, None, None]
     psi = np.zeros((len(theta), 4), dtype=complex)
@@ -267,29 +254,19 @@ def encode(rho: np.ndarray, message: Message) -> np.ndarray:
 
 def encoded_ket(message: Message) -> np.ndarray:
     """Pure state the receiver sees when `message` rides the ideal source."""
-    spin = model_spin_state(0.0, 0.0)
-    orbit = model_orbit_state(0.0, 0.0)
-    psi = _interleave_ket(tensor_product(spin, orbit))
-    return encoding_operator(message) @ psi
+    return encoding_operator(message) @ _ideal_ket()
 
 
 def spin_orbit_bell_ket(label: SpinOrbitBellLabel) -> np.ndarray:
     """Single-photon spin-orbit Bell ket in the (Hl, Hr, Vl, Vr) basis."""
-    label = SpinOrbitBellLabel(label)
-    if label == SpinOrbitBellLabel.PHI_PLUS:
-        return (basis_ket(4, 0) + basis_ket(4, 3)) / _SQRT2
-    if label == SpinOrbitBellLabel.PHI_MINUS:
-        return (basis_ket(4, 0) - basis_ket(4, 3)) / _SQRT2
-    if label == SpinOrbitBellLabel.PSI_PLUS:
-        return (basis_ket(4, 1) + basis_ket(4, 2)) / _SQRT2
-    return (basis_ket(4, 1) - basis_ket(4, 2)) / _SQRT2
+    return _BELL_KETS[SpinOrbitBellLabel(label)].copy()
 
 
 def bell_pair_ket(label1: SpinOrbitBellLabel,
                   label2: SpinOrbitBellLabel) -> np.ndarray:
     """Two-photon product of single-photon spin-orbit Bell kets (16-dim)."""
-    return tensor_product(spin_orbit_bell_ket(label1),
-                          spin_orbit_bell_ket(label2))
+    return _PAIR_KETS[SpinOrbitBellLabel(label1) * 4
+                      + SpinOrbitBellLabel(label2)].copy()
 
 
 def spin_orbit_decompose(psi: np.ndarray) -> np.ndarray:
@@ -301,10 +278,8 @@ def spin_orbit_decompose(psi: np.ndarray) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex).ravel()
     if psi.shape != (16,):
         raise ValueError(f"expected a 16-dim ket, got shape {psi.shape}")
-    amps = np.zeros((4, 4), dtype=complex)
-    for l1, l2 in BELL_PAIRS:
-        amps[l1, l2] = bell_pair_ket(l1, l2).conj() @ psi
-    return amps
+    # one dot per row: _PAIR_KETS.conj() @ psi differs in the last ulp
+    return np.array([k.conj() @ psi for k in _PAIR_KETS]).reshape(4, 4)
 
 
 def message_of_pair(label1: SpinOrbitBellLabel,
@@ -339,6 +314,8 @@ def signature_map(message: Message) -> frozenset:
 
 @dataclass(frozen=True)
 class FitResult:
+    """Fitted model parameters, the fidelity reached and whether it converged."""
+
     eps_theta: float
     eps_phi: float
     lam: float

@@ -30,6 +30,22 @@ def test_validate_input_distribution():
         cap.validate_input_distribution([0.6, 0.6, -0.2, 0.0], 4)
     with pytest.raises(ValueError, match="sums"):
         cap.validate_input_distribution([0.3, 0.3, 0.3, 0.3], 4)
+    with pytest.raises(ValueError, match="finite"):
+        cap.validate_input_distribution([math.nan, 0.5, 0.5, 0.0], 4)
+
+
+def test_raw_channels_are_checked():
+    uniform = np.full(4, 0.25)
+    with pytest.raises(ValueError, match="finite"):
+        cap.channel_capacity(np.full((4, 4), np.nan))
+    with pytest.raises(ValueError, match="finite"):
+        cap.average_success(np.diag([1.0, 1.0, 1.0, np.inf]))
+    with pytest.raises(ValueError, match="sum to 1"):
+        cap.mutual_information(uniform, np.full((4, 4), 0.5))
+    with pytest.raises(ValueError, match="probabilities"):
+        cap.channel_capacity(np.array([[1.5, 0.0], [-0.5, 1.0]]))
+    with pytest.raises(ValueError, match="square"):
+        cap.average_success(np.full((2, 4), 0.5))
 
 
 def test_mutual_information_reference_channels():

@@ -16,20 +16,26 @@ def _unit(amplitudes):
     return psi / np.linalg.norm(psi)
 
 
+def _basis(dim, index):
+    psi = np.zeros(dim, dtype=complex)
+    psi[index] = 1.0
+    return psi
+
+
 def test_tensor_product_identity():
     assert np.array_equal(linalg.tensor_product(np.eye(2), np.eye(2)), np.eye(4))
 
 
 def test_tensor_product_basis_index():
-    psi = linalg.tensor_product(linalg.basis_ket(2, 1), linalg.basis_ket(2, 0))
-    assert np.array_equal(psi, linalg.basis_ket(4, 2))
+    psi = linalg.tensor_product(_basis(2, 1), _basis(2, 0))
+    assert np.array_equal(psi, _basis(4, 2))
 
 
 def test_tensor_product_single_factor_action():
     op = linalg.tensor_product(_X, np.eye(2))
-    psi = linalg.tensor_product(linalg.basis_ket(2, 0), linalg.basis_ket(2, 0))
+    psi = linalg.tensor_product(_basis(2, 0), _basis(2, 0))
     out = op @ psi
-    want = linalg.tensor_product(linalg.basis_ket(2, 1), linalg.basis_ket(2, 0))
+    want = linalg.tensor_product(_basis(2, 1), _basis(2, 0))
     assert np.allclose(out, want)
 
 
@@ -91,14 +97,14 @@ def test_fidelity_with_pure():
     mixed = (1.0 - lam) * rho + lam * np.eye(4) / 4.0
     assert abs(linalg.fidelity_with_pure(mixed, psi) - (1.0 - 0.75 * lam)) < 1e-12
     with pytest.raises(ValueError, match="mismatch"):
-        linalg.fidelity_with_pure(rho, linalg.basis_ket(2, 0))
+        linalg.fidelity_with_pure(rho, _basis(2, 0))
 
 
 def test_concurrence_reference_states():
     for amps in ([1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]):
         bell = linalg.density_from_ket(_unit(amps))
         assert abs(linalg.concurrence(bell) - 1.0) < 1e-10
-    product = linalg.density_from_ket(linalg.basis_ket(4, 0))
+    product = linalg.density_from_ket(_basis(4, 0))
     assert linalg.concurrence(product) < 1e-10
     theta = np.pi / 4.0 + np.deg2rad(1.0)
     tilted = linalg.density_from_ket(

@@ -210,6 +210,8 @@ def test_transfer_matrix_validation():
     bad[1, 0] = -0.5
     with pytest.raises(ValueError, match="probabilities"):
         TransferMatrix(bad)
+    with pytest.raises(ValueError, match="finite"):
+        TransferMatrix(np.full((4, 4), np.nan))
 
 
 def test_serialization_round_trips_bit_exact():
