@@ -2,7 +2,7 @@
 
 The detection scheme turns each sent message x into a distribution over
 detected messages y, i.e. a discrete memoryless channel.  Capacity is
-computed with the Blahut-Arimoto alternating maximization; closed-form
+computed with one Blahut-Arimoto loop, channel_capacity_stack; closed-form
 reference curves bound the achievable (success probability, capacity)
 region for four-message and three-message encodings.
 
@@ -26,7 +26,7 @@ _LN2 = math.log(2.0)
 
 _THREE_LABELS = ("S1", "S2", "S3")
 
-# Most points bound_curve samples on one curve: one capacity solve each.
+# Most points bound_curve samples on one curve, all solved in one stack.
 MAX_RESOLUTION = 10_000
 
 
@@ -89,77 +89,60 @@ def channel_capacity(t, tol_bits: float = 1e-10,
     the input update p(x) proportional to exp(sum_y p(y|x) ln q(x|y)).
     The per-iteration bracket I(p) <= C <= max_x D(x) gives a stopping
     rule: iterate until the gap falls below tol_bits.  If the iteration
-    cap is hit first the best lower bound so far is returned with
-    converged=False.
+    cap is hit first the last lower bound is returned with
+    converged=False.  This is channel_capacity_stack on one channel.
     """
-    p = _prob_matrix(t)
-    n = p.shape[1]
-    w = p.T
-    positive = w > 0.0
-    safe_w = np.where(positive, w, 1.0)
-    log_w = np.log(safe_w)
-    tol_nats = tol_bits * _LN2
-
-    r = np.full(n, 1.0 / n)
-    i_low = 0.0
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iterations + 1):
-        q = r @ w
-        safe_q = np.where(q > 0.0, q, 1.0)
-        d = np.where(positive, w * (log_w - np.log(safe_q)), 0.0).sum(axis=1)
-        i_low = float(r @ d)
-        i_up = float(d.max())
-        if i_up - i_low < tol_nats:
-            converged = True
-            break
-        r = r * np.exp(d - d.max())
-        r /= r.sum()
-    capacity = max(i_low / _LN2, 0.0)
-    return CapacityResult(capacity_bits=capacity, input_distribution=r,
-                          iterations=iterations, converged=converged)
+    caps, r, iterations, converged = channel_capacity_stack(
+        _prob_matrix(t)[None], tol_bits, max_iterations)
+    return CapacityResult(float(caps[0]), r[0], int(iterations[0]), bool(converged[0]))
 
 
 def channel_capacity_stack(p, tol_bits: float = 1e-10,
                            max_iterations: int = 100_000) -> tuple:
     """channel_capacity for a stack of channels p[k, y, x], shape (n, m, m).
 
-    Runs the same Blahut-Arimoto update with the same bracket stopping
-    rule on every channel at once; a channel leaves the active set when
-    its own gap closes.  Returns (capacity_bits, iterations, converged),
-    three arrays of length n.
+    Runs the Blahut-Arimoto update on every channel at once; a channel
+    leaves the active set when its own gap closes.  Returns arrays
+    (capacity_bits, input_distributions, iterations, converged) of shape
+    (n,), (n, m), (n,) and (n,); the channels are not checked.
     """
+    if not (math.isfinite(tol_bits) and tol_bits > 0.0) or max_iterations < 1:
+        raise ValueError("tol_bits must be finite and positive and max_iterations "
+                         f"at least 1, got {tol_bits!r} and {max_iterations!r}")
     w = np.swapaxes(np.asarray(p, dtype=float), 1, 2)  # w[k, x, y] = p(y | x)
     n, m = w.shape[:2]
-    positive = w > 0.0
-    log_w = np.log(np.where(positive, w, 1.0))
-    tol_nats = tol_bits * _LN2
+    # log 1 = 0 where w = 0, so those terms below are 0 * finite = 0
+    log_w = np.log(np.where(w > 0.0, w, 1.0))
 
-    i_low = np.zeros(n)
-    iterations = np.zeros(n, dtype=int)
+    i_low = np.empty(n)
+    dists = np.empty((n, m))
+    iterations = np.full(n, max_iterations)
     converged = np.zeros(n, dtype=bool)
     active = np.arange(n)
-    r = np.full((n, m), 1.0 / m)
+    r = np.full((n, 1, m), 1.0 / m)
     for it in range(1, max_iterations + 1):
         if not active.size:
             break
-        q = np.einsum("kx,kxy->ky", r, w)
-        safe_q = np.where(q > 0.0, q, 1.0)
-        d = np.where(positive, w * (log_w - np.log(safe_q)[:, None, :]),
-                     0.0).sum(axis=2)
-        low = np.einsum("kx,kx->k", r, d)
-        d_max = d.max(axis=1)
-        i_low[active] = low
-        iterations[active] = it
-        done = d_max - low < tol_nats
+        q = r @ w
+        np.log(q, out=q, where=q > 0.0)
+        d = (w * (log_w - q)).sum(axis=2, keepdims=True)
+        low = (r @ d)[:, 0, 0]
+        d_max = d.max(axis=1, keepdims=True)
+        done = d_max[:, 0, 0] - low < tol_bits * _LN2
         if done.any():
-            converged[active[done]] = True
-            keep = ~done
-            active, w, positive, log_w, r, d, d_max = (
-                v[keep] for v in (active, w, positive, log_w, r, d, d_max))
-        r = r * np.exp(d - d_max[:, None])
-        r /= r.sum(axis=1, keepdims=True)
-    return np.maximum(i_low / _LN2, 0.0), iterations, converged
+            leaving = active[done]
+            i_low[leaving] = low[done]
+            dists[leaving] = r[done, 0]
+            iterations[leaving] = it
+            converged[leaving] = True
+            active, w, log_w, r, d, d_max, low = (
+                v[~done] for v in (active, w, log_w, r, d, d_max, low))
+        r *= np.exp(d - d_max).swapaxes(1, 2)
+        r /= r.sum(axis=2, keepdims=True)
+    else:
+        i_low[active] = low
+        dists[active] = r[:, 0]
+    return np.maximum(i_low / _LN2, 0.0), dists, iterations, converged
 
 
 def average_success(t) -> float:
@@ -269,5 +252,5 @@ def bound_curve(encoding: int, which: str, resolution: int = 50) -> np.ndarray:
             f"unknown curve ({encoding!r}, {which!r}); encoding must be 3 or 4 "
             "and which must be 'lower' or 'upper'") from None
     ps = np.linspace(lo, hi, resolution)
-    caps = [channel_capacity(fn(p)).capacity_bits for p in ps]
+    caps = channel_capacity_stack([fn(p).probabilities for p in ps])[0]
     return np.column_stack([ps, caps])

@@ -8,9 +8,9 @@ iteration i produces the same values whatever other iterations run.
 
 run evaluates draws in blocks: each block is sampled as one column per
 knob, goes through one stacked analyzer (optics.transfer_matrix_stack)
-and one stacked Blahut-Arimoto solve (capacity.channel_capacity_stack).
-sample_params gives one draw of the same columns as a record for the
-single-point API (transfer_matrix, apply_accidentals, channel_capacity).
+and one capacity.channel_capacity_stack solve, the one Blahut-Arimoto
+loop.  sample_params gives one draw of the same columns as a record for
+the single-point API (transfer_matrix, apply_accidentals, channel_capacity).
 
 PARAMS is the one table of knobs: file keys, record fields, groups and
 sampling clamps.  Angle parameters are specified in degrees (their
@@ -349,10 +349,10 @@ class McResult:
 def run(scenario: McScenario, jobs: int = 1) -> McResult:
     """Evaluate all iterations of a scenario, a block of draws at a time.
 
-    Each block is sampled as columns and goes through one stacked
-    analyzer and one stacked capacity solve; the numbers are those of
-    the single-point path up to rounding.  ``jobs`` is accepted and must
-    be positive, but does not change how iterations run.
+    Each block is sampled as columns and goes through one stacked analyzer
+    (the single-point matrices up to rounding) and one stacked capacity
+    solve (channel_capacity's bits exactly).  ``jobs`` is accepted and
+    must be positive, but does not change how iterations run.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")

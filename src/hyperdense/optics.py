@@ -82,9 +82,11 @@ class AccidentalModel:
 
 
 def check_channel(p) -> np.ndarray:
-    """p[y, x] as a float array; ValueError unless every entry is finite and
-    in [0, 1] (to 1e-12) and every column sums to 1 within 1e-9."""
+    """p[y, x] as a float array; ValueError unless it is non-empty, every entry
+    is finite and in [0, 1] (to 1e-12) and every column sums to 1 within 1e-9."""
     p = np.asarray(p, dtype=float)
+    if not p.size:
+        raise ValueError("channel is empty")
     if not np.isfinite(p).all():
         raise ValueError("entries must be finite")
     if p.min() < -1e-12 or p.max() > 1.0 + 1e-12:

@@ -72,6 +72,41 @@ def grid_capacity(t: np.ndarray, steps: int = 100) -> float:
     return float(mutual_information_rows(px_rows, t).max())
 
 
+def blahut_arimoto(p: np.ndarray, tol_bits: float = 1e-10,
+                   max_iterations: int = 100_000) -> tuple:
+    """Reference capacity solve of one channel p[y, x], a plain loop.
+
+    Returns (capacity_bits, input_distribution, iterations, converged).
+    Iterates r(x) -> r(x) exp(D(x)) / norm, D(x) = sum_y p(y|x) ln(p(y|x)
+    / q(y)), until max_x D(x) - sum_x r(x) D(x) < tol_bits; if the cap is
+    hit first the last lower bound and the updated r are returned.
+    """
+    w = np.asarray(p, dtype=float).T
+    n = w.shape[0]
+    positive = w > 0.0
+    safe_w = np.where(positive, w, 1.0)
+    log_w = np.log(safe_w)
+    tol_nats = tol_bits * math.log(2.0)
+
+    r = np.full(n, 1.0 / n)
+    i_low = 0.0
+    iterations = 0
+    converged = False
+    for iterations in range(1, max_iterations + 1):
+        q = r @ w
+        safe_q = np.where(q > 0.0, q, 1.0)
+        d = np.where(positive, w * (log_w - np.log(safe_q)), 0.0).sum(axis=1)
+        i_low = float(r @ d)
+        i_up = float(d.max())
+        if i_up - i_low < tol_nats:
+            converged = True
+            break
+        r = r * np.exp(d - d.max())
+        r /= r.sum()
+    capacity = max(i_low / math.log(2.0), 0.0)
+    return capacity, r, iterations, converged
+
+
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T

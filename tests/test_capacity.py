@@ -46,6 +46,23 @@ def test_raw_channels_are_checked():
         cap.channel_capacity(np.array([[1.5, 0.0], [-0.5, 1.0]]))
     with pytest.raises(ValueError, match="square"):
         cap.average_success(np.full((2, 4), 0.5))
+    with pytest.raises(ValueError, match="empty"):
+        cap.channel_capacity(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("knobs", [{"max_iterations": 0},
+                                   {"max_iterations": -1},
+                                   {"tol_bits": math.nan},
+                                   {"tol_bits": math.inf},
+                                   {"tol_bits": 0.0},
+                                   {"tol_bits": -1.0}],
+                         ids=["zero-iterations", "negative-iterations", "nan-tol",
+                              "inf-tol", "zero-tol", "negative-tol"])
+def test_solver_knobs_are_checked(knobs):
+    with pytest.raises(ValueError, match="tol_bits must be finite and positive"):
+        cap.channel_capacity(np.eye(4), **knobs)
+    with pytest.raises(ValueError, match="max_iterations at least 1"):
+        cap.channel_capacity_stack(np.eye(4)[None], **knobs)
 
 
 def test_mutual_information_reference_channels():
@@ -276,6 +293,7 @@ def test_bound_curve_resolution_has_an_upper_limit(monkeypatch):
 
     monkeypatch.setattr(np, "linspace", never)
     monkeypatch.setattr(cap, "channel_capacity", never)
+    monkeypatch.setattr(cap, "channel_capacity_stack", never)
     for resolution in (cap.MAX_RESOLUTION + 1, 10**9):
         with pytest.raises(ValueError, match=r"resolution must lie in "
                                              r"\[2, 10000\], got"):

@@ -2,9 +2,10 @@
 
 montecarlo.run samples draws as columns, builds their transfer matrices
 in one stacked Heisenberg-picture pass and solves their capacities in
-one stacked Blahut-Arimoto run.  Each piece is compared here with the
-single-point route it replaces: sample_params, the Schroedinger-picture
-transfer_matrix, apply_accidentals and channel_capacity.
+one stacked Blahut-Arimoto run.  Each piece is compared here with a
+single-point route: sample_params, the Schroedinger-picture
+transfer_matrix, apply_accidentals and the plain Blahut-Arimoto loop in
+_oracles, which the stacked solver must match bit for bit.
 """
 
 from __future__ import annotations
@@ -19,6 +20,11 @@ from hypothesis import strategies as st
 from hyperdense import montecarlo as mc
 from hyperdense.capacity import (
     average_success,
+    bound_curve,
+    bound_lower_3,
+    bound_lower_4,
+    bound_upper_3,
+    bound_upper_4,
     channel_capacity,
     channel_capacity_stack,
 )
@@ -33,6 +39,8 @@ from hyperdense.optics import (
     transfer_matrix_stack,
 )
 from hyperdense.states import SourceParams, build_source, build_source_stack
+
+from _oracles import blahut_arimoto
 
 _ANGLE = st.floats(-math.pi, math.pi)
 _WEIGHT = st.floats(0.0, 1.0)
@@ -84,20 +92,28 @@ def test_stacked_matrices_match_transfer_matrix(settings_list):
         assert np.max(np.abs(p[k] - want)) < 1e-12
 
 
+def _assert_matches_oracle(p, max_iterations=100_000):
+    caps, dists, iterations, converged = channel_capacity_stack(
+        p, max_iterations=max_iterations)
+    for k in range(len(p)):
+        want = blahut_arimoto(p[k], max_iterations=max_iterations)
+        assert (caps[k], iterations[k], converged[k]) == (want[0], *want[2:])
+        assert np.array_equal(dists[k], want[1])
+    return converged
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_SETTING, min_size=1, max_size=6),
        st.sampled_from([3, 40, 400]))
 def test_stacked_capacities_match_channel_capacity(settings_list, max_iterations):
     # channels from the physical model, with accidentals; a low iteration
-    # cap exercises the unconverged branch on both paths
+    # cap exercises the unconverged branch
     p = np.array([_scalar_matrix(s) for s in settings_list])
-    caps, iterations, converged = channel_capacity_stack(
-        p, max_iterations=max_iterations)
-    for k in range(len(p)):
-        want = channel_capacity(p[k], max_iterations=max_iterations)
-        assert abs(caps[k] - want.capacity_bits) < 1e-12
-        assert iterations[k] == want.iterations
-        assert converged[k] == want.converged
+    _assert_matches_oracle(p, max_iterations)
+    one = channel_capacity(p[0], max_iterations=max_iterations)
+    want = blahut_arimoto(p[0], max_iterations=max_iterations)
+    assert (one.capacity_bits, one.iterations, one.converged) == (want[0], *want[2:])
+    assert np.array_equal(one.input_distribution, want[1])
 
 
 def test_stacked_capacities_of_random_channels():
@@ -105,12 +121,20 @@ def test_stacked_capacities_of_random_channels():
     for m in (2, 3, 4):
         p = rng.random((40, m, m)) ** 3
         p /= p.sum(axis=1, keepdims=True)
-        caps, iterations, converged = channel_capacity_stack(p, max_iterations=500)
-        for k in range(len(p)):
-            want = channel_capacity(p[k], max_iterations=500)
-            assert abs(caps[k] - want.capacity_bits) < 1e-12
-            assert (iterations[k], converged[k]) == (want.iterations, want.converged)
+        for max_iterations in (3, 40, 400):
+            _assert_matches_oracle(p, max_iterations)
+        converged = _assert_matches_oracle(p, 500)
         assert converged.any() and not converged.all()
+
+
+def test_bound_curves_match_oracle():
+    for (encoding, which), fn in {(4, "lower"): bound_lower_4,
+                                  (4, "upper"): bound_upper_4,
+                                  (3, "lower"): bound_lower_3,
+                                  (3, "upper"): bound_upper_3}.items():
+        curve = bound_curve(encoding, which, resolution=50)
+        for p_s, c in curve:
+            assert c == blahut_arimoto(fn(p_s).probabilities)[0]
 
 
 def _reference_draw(scenario: mc.McScenario, i: int) -> dict:

@@ -212,6 +212,8 @@ def test_transfer_matrix_validation():
         TransferMatrix(bad)
     with pytest.raises(ValueError, match="finite"):
         TransferMatrix(np.full((4, 4), np.nan))
+    with pytest.raises(ValueError, match="empty"):
+        TransferMatrix(np.zeros((0, 0)), labels=())
 
 
 def test_serialization_round_trips_bit_exact():
