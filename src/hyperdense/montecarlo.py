@@ -20,6 +20,7 @@ customary lab unit) and converted to radians in _to_fields.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -216,6 +217,14 @@ class McScenario:
             raise ValueError(
                 f"unknown parameters {sorted(unknown_params)}; "
                 f"valid parameters: {valid_params}")
+        for key, d in self.distributions.items():
+            if not isinstance(d, ParamDistribution):
+                raise ValueError(f"{key} must be a ParamDistribution, got {d!r}")
+        for name in ("iterations", "seed"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not hasattr(v, "__index__"):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+            object.__setattr__(self, name, operator.index(v))
         _check_iterations(self.iterations)
 
 

@@ -19,6 +19,9 @@ Detection is modeled by rank-4 projectors, one per message: the images
 under the ideal two-photon analyzer of the message's four signature
 pairs.  Their sum is the identity, so every detected event is assigned
 to exactly one message and transfer-matrix columns sum to one.
+
+The PBS is written once, for stacks of gate settings; pbs_matrix is its
+one-setting call.
 """
 
 from __future__ import annotations
@@ -130,17 +133,7 @@ def hologram_map() -> np.ndarray:
 
 def pbs_matrix(gate: GateParams) -> np.ndarray:
     """Single-photon PBS with crosstalk, block diagonal over polarization."""
-    tH = math.sqrt(1.0 - gate.eps_H)
-    rH = math.sqrt(gate.eps_H)
-    tV = math.sqrt(1.0 - gate.eps_V)
-    rV = math.sqrt(gate.eps_V)
-    e1 = np.exp(1j * gate.phi1)
-    e2 = np.exp(1j * gate.phi2)
-    e12 = np.exp(0.5j * (gate.phi1 + gate.phi2))
-    u = np.zeros((4, 4), dtype=complex)
-    u[0:2, 0:2] = [[tH, -rH], [rH, tH]]
-    u[2:4, 2:4] = [[e12 * rV, -e2 * tV], [e1 * tV, e12 * rV]]
-    return u
+    return _pbs_stack([gate.eps_H], [gate.eps_V], [gate.phi1], [gate.phi2])[0]
 
 
 def analyzer_unitary(gate: GateParams) -> np.ndarray:
@@ -204,9 +197,8 @@ def apply_accidentals(t: TransferMatrix,
 
 # --- stacks of settings ------------------------------------------------------
 
-def analyzer_unitary_stack(eps_H, eps_V, phi1, phi2) -> np.ndarray:
-    """analyzer_unitary for a stack of gate settings given as equal-length
-    arrays, shape (n, 4, 4).  The settings are not range-checked here."""
+def _pbs_stack(eps_H, eps_V, phi1, phi2) -> np.ndarray:
+    # pbs_matrix for each setting of equal-length arrays, shape (n, 4, 4)
     eps_H, eps_V, phi1, phi2 = (np.asarray(v, dtype=float)
                                 for v in (eps_H, eps_V, phi1, phi2))
     tH, rH = np.sqrt(1.0 - eps_H), np.sqrt(eps_H)
@@ -219,7 +211,13 @@ def analyzer_unitary_stack(eps_H, eps_V, phi1, phi2) -> np.ndarray:
     u[:, 2, 2] = u[:, 3, 3] = e12 * rV
     u[:, 2, 3] = -np.exp(1j * phi2) * tV
     u[:, 3, 2] = np.exp(1j * phi1) * tV
-    return u @ hologram_map()
+    return u
+
+
+def analyzer_unitary_stack(eps_H, eps_V, phi1, phi2) -> np.ndarray:
+    """analyzer_unitary for a stack of gate settings given as equal-length
+    arrays, shape (n, 4, 4).  The settings are not range-checked here."""
+    return _pbs_stack(eps_H, eps_V, phi1, phi2) @ hologram_map()
 
 
 @lru_cache(maxsize=1)

@@ -25,6 +25,9 @@ Single-photon spin-orbit Bell states, used as the analysis basis:
 Each encoded two-photon state is supported on exactly four of the 16
 spin-orbit pair products, with amplitudes of magnitude 1/2; the pair
 sets partition the 16 products into the four messages (signature_map).
+
+The source model is written once, for stacks of settings: the model kets,
+build_source and ideal_source are one-setting calls of build_source_stack.
 """
 
 from __future__ import annotations
@@ -32,11 +35,11 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .linalg import density_from_ket, tensor_product, validate_density_matrix
+from .linalg import tensor_product, validate_density_matrix
 
 _PAULI_I = np.eye(2, dtype=complex)
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -135,23 +138,23 @@ class SourceParams:
 _PAIR_MODELS = {"spin": (0, 3, -1.0), "orbit": (1, 2, 1.0)}
 
 
-def _model_ket(which: str, eps_theta: float, eps_phi: float) -> np.ndarray:
+def _model_kets(which: str, eps_theta, eps_phi) -> np.ndarray:
     first, last, sign = _PAIR_MODELS[which]
-    theta = math.pi / 4.0 + eps_theta
-    psi = np.zeros(4, dtype=complex)
-    psi[first] = math.cos(theta)
-    psi[last] = sign * np.exp(1j * eps_phi) * math.sin(theta)
+    theta = math.pi / 4.0 + np.asarray(eps_theta, dtype=float)
+    psi = np.zeros((len(theta), 4), dtype=complex)
+    psi[:, first] = np.cos(theta)
+    psi[:, last] = sign * np.exp(1j * np.asarray(eps_phi)) * np.sin(theta)
     return psi
 
 
 def model_spin_state(eps_theta: float, eps_phi: float) -> np.ndarray:
     """Imperfect spin pair ket cos(pi/4+t)|HH> - e^(i p) sin(pi/4+t)|VV>."""
-    return _model_ket("spin", eps_theta, eps_phi)
+    return _model_kets("spin", [eps_theta], [eps_phi])[0]
 
 
 def model_orbit_state(eps_theta: float, eps_phi: float) -> np.ndarray:
     """Imperfect orbit pair ket cos(pi/4+t)|lr> + e^(i p) sin(pi/4+t)|rl>."""
-    return _model_ket("orbit", eps_theta, eps_phi)
+    return _model_kets("orbit", [eps_theta], [eps_phi])[0]
 
 
 def depolarize(rho: np.ndarray, lam: float) -> np.ndarray:
@@ -168,20 +171,9 @@ def _interleave_ket(psi: np.ndarray) -> np.ndarray:
     return psi.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(16)
 
 
-def _interleave_matrix(mat: np.ndarray) -> np.ndarray:
-    t = mat.reshape(2, 2, 2, 2, 2, 2, 2, 2)
-    t = t.transpose(0, 2, 1, 3, 4, 6, 5, 7)
-    return t.reshape(16, 16)
-
-
-def _ideal_ket() -> np.ndarray:
-    return _interleave_ket(tensor_product(model_spin_state(0.0, 0.0),
-                                          model_orbit_state(0.0, 0.0)))
-
-
 def ideal_source() -> np.ndarray:
     """Density matrix of the perfect hyperentangled source (pure, 16x16)."""
-    return density_from_ket(_ideal_ket())
+    return build_source(SourceParams())
 
 
 def build_source(params: SourceParams) -> np.ndarray:
@@ -191,26 +183,14 @@ def build_source(params: SourceParams) -> np.ndarray:
     depolarized with their own weights, then combined into the common
     16-dim ordering.
     """
-    rho_spin = depolarize(
-        density_from_ket(model_spin_state(params.eps_theta_spin,
-                                          params.eps_phi_spin)),
-        params.lambda_spin,
-    )
-    rho_orbit = depolarize(
-        density_from_ket(model_orbit_state(params.eps_theta_orbit,
-                                           params.eps_phi_orbit)),
-        params.lambda_orbit,
-    )
-    return _interleave_matrix(tensor_product(rho_spin, rho_orbit))
+    return build_source_stack(
+        *([getattr(params, f.name)] for f in fields(SourceParams)))[0]
 
 
-def _pair_density_stack(first, last, sign, eps_theta, eps_phi, lam):
-    # depolarize(density_from_ket(_model_ket(...)), lam) per draw
-    theta = math.pi / 4.0 + np.asarray(eps_theta, dtype=float)
+def _pair_density_stack(which: str, eps_theta, eps_phi, lam) -> np.ndarray:
+    # depolarize(density_from_ket(ket), lam) for each row of _model_kets
+    psi = _model_kets(which, eps_theta, eps_phi)
     lam = np.asarray(lam, dtype=float)[:, None, None]
-    psi = np.zeros((len(theta), 4), dtype=complex)
-    psi[:, first] = np.cos(theta)
-    psi[:, last] = sign * np.exp(1j * np.asarray(eps_phi)) * np.sin(theta)
     rho = (1.0 - lam) * (psi[:, :, None] * psi[:, None, :].conj())
     return rho + lam * np.eye(4) / 4.0
 
@@ -222,10 +202,10 @@ def build_source_stack(eps_theta_spin, eps_phi_spin, lambda_spin,
     Returns shape (n, 16, 16), one source per setting.  The parameters
     are not range-checked here.
     """
-    spin = _pair_density_stack(*_PAIR_MODELS["spin"], eps_theta_spin,
-                               eps_phi_spin, lambda_spin).reshape(-1, 2, 2, 2, 2)
-    orbit = _pair_density_stack(*_PAIR_MODELS["orbit"], eps_theta_orbit,
-                                eps_phi_orbit, lambda_orbit).reshape(-1, 2, 2, 2, 2)
+    spin = _pair_density_stack("spin", eps_theta_spin, eps_phi_spin,
+                               lambda_spin).reshape(-1, 2, 2, 2, 2)
+    orbit = _pair_density_stack("orbit", eps_theta_orbit, eps_phi_orbit,
+                                lambda_orbit).reshape(-1, 2, 2, 2, 2)
     # [s1 s2 s1' s2'] x [o1 o2 o1' o2'] -> [s1 o1 s2 o2 s1' o1' s2' o2']
     rho = np.einsum("nabcd,nefgh->naebfcgdh", spin, orbit)
     return rho.reshape(-1, 16, 16)
@@ -254,7 +234,9 @@ def encode(rho: np.ndarray, message: Message) -> np.ndarray:
 
 def encoded_ket(message: Message) -> np.ndarray:
     """Pure state the receiver sees when `message` rides the ideal source."""
-    return encoding_operator(message) @ _ideal_ket()
+    ideal = _interleave_ket(tensor_product(model_spin_state(0.0, 0.0),
+                                           model_orbit_state(0.0, 0.0)))
+    return encoding_operator(message) @ ideal
 
 
 def spin_orbit_bell_ket(label: SpinOrbitBellLabel) -> np.ndarray:
@@ -381,7 +363,7 @@ def fit_model_params(rho: np.ndarray, which: str = "spin") -> FitResult:
          float(min(max(4.0 * (1.0 - w[-1]) / 3.0, 0.0), 1.0))]
 
     def fidelity_at(y):
-        sigma = _pair_density_stack(first, last, sign, [y[0]], [y[1]], [y[2]])
+        sigma = _pair_density_stack(which, [y[0]], [y[1]], [y[2]])
         return _mixed_fidelity(rho, sigma[0])
 
     best = fidelity_at(x)

@@ -159,6 +159,33 @@ def pair_model_density(which: str, eps_theta: float, eps_phi: float,
     return (1.0 - lam) * np.outer(m, m.conj()) + lam * np.eye(4) / 4.0
 
 
+def source_density(eps_theta_spin: float, eps_phi_spin: float, lambda_spin: float,
+                   eps_theta_orbit: float, eps_phi_orbit: float,
+                   lambda_orbit: float) -> np.ndarray:
+    """16x16 source: spin pair (x) orbit pair, reordered to (s1, o1, s2, o2)."""
+    rho = np.kron(pair_model_density("spin", eps_theta_spin, eps_phi_spin, lambda_spin),
+                  pair_model_density("orbit", eps_theta_orbit, eps_phi_orbit,
+                                     lambda_orbit))
+    # kron order is (s1, s2, o1, o2) on each side of the matrix
+    t = rho.reshape([2] * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7)
+    return t.reshape(16, 16)
+
+
+def analyzer_unitary(eps_H: float, eps_V: float, phi1: float,
+                     phi2: float) -> np.ndarray:
+    """One photon's hologram, diag(1, -1, 1, -1) on (Hl, Hr, Vl, Vr), then
+    the PBS: a rotation by the crosstalk amplitude on the H block and a
+    phased one on the V block, ports (a, b) in the (Ha, Hb, Va, Vb) basis."""
+    tH, rH = np.sqrt(1.0 - eps_H), np.sqrt(eps_H)
+    tV, rV = np.sqrt(1.0 - eps_V), np.sqrt(eps_V)
+    e12 = np.exp(0.5j * (phi1 + phi2))
+    zero = np.zeros((2, 2))
+    pbs = np.block([[np.array([[tH, -rH], [rH, tH]]), zero],
+                    [zero, np.array([[e12 * rV, -np.exp(1j * phi2) * tV],
+                                     [np.exp(1j * phi1) * tV, e12 * rV]])]])
+    return pbs @ np.diag([1.0, -1.0, 1.0, -1.0])
+
+
 def uhlmann_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """(Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 via eigendecompositions."""
     w, v = np.linalg.eigh(rho)

@@ -4,15 +4,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hyperdense import capacity as cap
 from hyperdense import optics, states
 from hyperdense.optics import AccidentalModel, GateParams, TransferMatrix
-from hyperdense.states import SourceParams
+from hyperdense.states import SourceParams, build_source_stack
 
 from _oracles import (
+    binary_entropy,
     grid_capacity,
     random_channel,
     split_channel_capacity_3,
@@ -254,6 +255,56 @@ def test_upper_bound_dominates_lower():
         lo = cap.channel_capacity(cap.bound_lower_4(p_s)).capacity_bits
         hi = cap.channel_capacity(cap.bound_upper_4(p_s)).capacity_bits
         assert hi >= lo - 1e-9
+
+
+def _fano_bound(p_s: float) -> float:
+    # Fano with uniform inputs: H(X|Y) <= h(1 - p_s) + (1 - p_s) log2 3
+    return 2.0 - binary_entropy(1.0 - p_s) - (1.0 - p_s) * math.log2(3.0)
+
+
+def _assert_above_fano(t) -> None:
+    p_s = cap.average_success(t)
+    mi = cap.mutual_information(np.full(4, 0.25), t)
+    assert mi >= _fano_bound(p_s) - 1e-12, (p_s, mi)
+
+
+def test_fano_bound_is_the_lower_curve():
+    for p_s in (0.25, 0.3, 0.5, 0.75, 0.948, 0.9492, 0.999, 1.0):
+        lower = cap.bound_lower_4(p_s)
+        assert abs(cap.channel_capacity(lower).capacity_bits
+                   - _fano_bound(p_s)) < 1e-9
+        # uniform noise meets Fano's inequality with equality
+        uniform_mi = cap.mutual_information(np.full(4, 0.25), lower)
+        assert abs(uniform_mi - _fano_bound(p_s)) < 1e-12
+    assert _fano_bound(0.25) == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(weight=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_fano_lower_bound_on_random_channels(weight, seed):
+    t = (1.0 - weight) * np.eye(4) + weight * random_channel(np.random.default_rng(seed), 4)
+    assume(cap.average_success(t) >= 0.25)
+    _assert_above_fano(t)
+
+
+_ANGLE = st.floats(-math.pi, math.pi)
+_MODEL_SETTING = st.tuples(
+    st.floats(-math.pi / 4, math.pi / 4), _ANGLE, st.floats(0.0, 1.0),
+    st.floats(-math.pi / 4, math.pi / 4), _ANGLE, st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0), st.floats(0.0, 1.0), _ANGLE, _ANGLE)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_MODEL_SETTING, min_size=1, max_size=6))
+def test_fano_lower_bound_on_model_channels(settings_list):
+    columns = np.array(settings_list).T
+    stacked = optics.transfer_matrix_stack(build_source_stack(*columns[:6]),
+                                           optics.analyzer_unitary_stack(*columns[6:]))
+    for s, p in zip(settings_list, stacked):
+        single = optics.transfer_matrix(SourceParams(*s[:6]), GateParams(*s[6:]))
+        for t in (single.probabilities, p):
+            if cap.average_success(t) >= 0.25:
+                _assert_above_fano(t)
 
 
 def test_reported_point_containment():

@@ -5,11 +5,16 @@ in one stacked Heisenberg-picture pass and solves their capacities in
 one stacked Blahut-Arimoto run.  Each piece is compared here with a
 single-point route: sample_params, the Schroedinger-picture
 transfer_matrix, apply_accidentals and the plain Blahut-Arimoto loop in
-_oracles, which the stacked solver must match bit for bit.
+_oracles, which the stacked solver must match bit for bit.  build_source
+and pbs_matrix are one-setting calls of the stacked builders, so the
+stacked source and analyzer unitary are compared with the formulas in
+_oracles instead.  The sampler's stream layout is pinned too: a knob
+draws the same values in every scenario that samples it alike.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -32,15 +37,14 @@ from hyperdense.optics import (
     DEFAULT_ACCIDENTAL_FRACTION,
     AccidentalModel,
     GateParams,
-    analyzer_unitary,
     analyzer_unitary_stack,
     apply_accidentals,
     transfer_matrix,
     transfer_matrix_stack,
 )
-from hyperdense.states import SourceParams, build_source, build_source_stack
+from hyperdense.states import SourceParams, build_source_stack
 
-from _oracles import blahut_arimoto
+from _oracles import analyzer_unitary, blahut_arimoto, source_density
 
 _ANGLE = st.floats(-math.pi, math.pi)
 _WEIGHT = st.floats(0.0, 1.0)
@@ -86,8 +90,9 @@ def test_stacked_matrices_match_transfer_matrix(settings_list):
     for k, s in enumerate(settings_list):
         source = SourceParams(**{f: s[f] for f in _SOURCE_FIELDS})
         gate = GateParams(**{f: s[f] for f in _GATE_FIELDS})
-        assert np.max(np.abs(rho[k] - build_source(source))) < 1e-12
-        assert np.max(np.abs(u[k] - analyzer_unitary(gate))) < 1e-12
+        want_rho = source_density(*(s[f] for f in _SOURCE_FIELDS))
+        assert np.max(np.abs(rho[k] - want_rho)) < 1e-15
+        assert np.array_equal(u[k], analyzer_unitary(*(s[f] for f in _GATE_FIELDS)))
         want = transfer_matrix(source, gate).probabilities
         assert np.max(np.abs(p[k] - want)) < 1e-12
 
@@ -179,6 +184,47 @@ def test_columnar_sampler_matches_per_draw_rule(scenario, start, count):
             assert columns[field][k] == value, field
             assert getattr(record, field) == value, field
             assert type(getattr(record, field)) is float
+
+
+def _group_fields(group: str) -> list:
+    return [p.field for p in mc.PARAMS if p.group == group]
+
+
+@pytest.mark.parametrize("name", ["spin", "orbit", "crosstalk", "accidentals"])
+def test_single_group_draws_equal_the_joint_scenario(monkeypatch, name):
+    # the PARAMS stream layout: a knob's value in draw i does not depend
+    # on which other groups are active
+    single, joint = mc.builtin_scenario(name), mc.builtin_scenario("all")
+    (group,) = single.active
+    want = mc._sample_columns(joint, 0, 300)
+    got = mc._sample_columns(single, 0, 300)
+    for field in _group_fields(group):
+        assert np.array_equal(got[field], want[field]), field
+    # run's blocks, here 7 draws each, draw the same values across block edges
+    blocks = []
+    sample = mc._sample_columns
+    monkeypatch.setattr(mc, "_sample_columns",
+                        lambda *args: blocks.append(sample(*args)) or blocks[-1])
+    monkeypatch.setattr(mc, "_BLOCK", 7)
+    mc.run(dataclasses.replace(single, iterations=20))
+    assert len(blocks) == 3
+    for field in _group_fields(group):
+        got = np.concatenate([c[field] for c in blocks])
+        assert np.array_equal(got, want[field][:20]), field
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scenarios(), _scenarios(), st.sampled_from(_SAMPLED_KEYS),
+       st.floats(-200.0, 200.0), st.floats(0.0, 100.0), st.integers(0, 2**40))
+def test_scenarios_sharing_a_knob_draw_equal_values(a, b, key, mean, sigma, start):
+    (param,) = [p for p in mc.PARAMS if p.key == key]
+    shared = mc.ParamDistribution(mean, sigma)
+    seed = a.seed
+    a, b = [dataclasses.replace(s, active=s.active | {param.group}, seed=seed,
+                                distributions={**s.distributions, key: shared})
+            for s in (a, b)]
+    got = mc._sample_columns(a, start, start + 3)[param.field]
+    assert np.array_equal(got, mc._sample_columns(b, start, start + 3)[param.field])
 
 
 @pytest.mark.parametrize("name", [s.name for s in mc.default_scenarios()])

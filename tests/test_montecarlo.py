@@ -76,6 +76,18 @@ def test_scenario_validation_errors():
         mc.McScenario("bad", iterations=0)
     with pytest.raises(ValueError, match="sigma"):
         mc.ParamDistribution(0.0, -1.0)
+    # caught when the scenario is built, naming the field, not inside run
+    with pytest.raises(ValueError, match="source.lambda_spin must be a ParamDistribution"):
+        mc.McScenario("bad", {"source-spin"}, {"source.lambda_spin": (0.1, 0.01)})
+    for name, value in [("iterations", 2.5), ("iterations", True),
+                        ("iterations", "3"), ("seed", 1.5), ("seed", False),
+                        ("seed", np.float64(2.0))]:
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            mc.McScenario("bad", **{name: value})
+    numpy_ints = mc.McScenario("ok", iterations=np.int32(3), seed=np.uint64(2**64 - 1))
+    assert (numpy_ints.iterations, numpy_ints.seed) == (3, 2**64 - 1)
+    assert type(numpy_ints.seed) is int
+    assert mc.McScenario("ok", seed=-2**63).seed == -2**63
 
 
 @pytest.mark.parametrize("mean, sigma", [(float("inf"), 0.0), (float("-inf"), 1.0),
