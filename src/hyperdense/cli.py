@@ -242,10 +242,7 @@ def _cmd_montecarlo(args) -> str:
     results = [mc.run(s, jobs=args.jobs) for s in scenarios]
     budget = None
     if args.builtin == "full":
-        by_name = {r.scenario.name: r for r in results}
-        singles = [by_name[n] for n in ("spin", "orbit", "crosstalk",
-                                        "accidentals")]
-        budget = mc.naive_budget_check(singles, by_name["all"])
+        budget = mc.naive_budget_check(results[:-1], results[-1])
     if args.format == "json":
         payload = {"results": [mc.result_to_json_dict(r) for r in results]}
         if budget is not None:
@@ -366,9 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("montecarlo", parents=[common],
                        help="imperfection budget Monte Carlo")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--builtin",
-                       choices=("spin", "orbit", "crosstalk", "accidentals",
-                                "all", "full"),
+    group.add_argument("--builtin", choices=(*mc.BUILTIN_NAMES, "full"),
                        help="builtin scenario; 'full' runs all five plus "
                             "the naive-budget comparison")
     group.add_argument("--scenario", metavar="FILE",

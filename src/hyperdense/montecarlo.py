@@ -1,7 +1,7 @@
 """Monte Carlo propagation of apparatus imperfections to channel capacity.
 
-Each iteration draws the nine sampled knobs from independent
-normal distributions, builds the conditional-detection matrix and
+Each iteration draws every knob of PARAMS from an independent normal
+distribution, builds the conditional-detection matrix and
 records its capacity and average success probability.  Draws come from
 a counter-based generator (Philox) keyed by (seed, iteration index), so
 iteration i produces the same values whatever other iterations run.
@@ -12,14 +12,17 @@ and one capacity.channel_capacity_stack solve, the one Blahut-Arimoto
 loop.  sample_params gives one draw of the same columns as a record for
 the single-point API (transfer_matrix, apply_accidentals, channel_capacity).
 
-PARAMS is the one table of knobs: file keys, record fields, groups and
-sampling clamps.  Angle parameters are specified in degrees (their
-customary lab unit) and converted to radians in _to_fields.
+PARAMS is the one table of knobs: file keys, record fields, groups,
+sampling clamps, characterized budgets and active defaults.  The group
+list, the builtin scenarios and their names derive from it.  Angle
+parameters are specified in degrees (their customary lab unit) and
+converted to radians in _to_fields.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field, fields
 
@@ -39,8 +42,27 @@ IDEAL_CAPACITY_BITS = 2.0
 
 _MASK64 = (1 << 64) - 1
 
-IMPERFECTION_GROUPS = ("source-spin", "source-orbit", "pbs-crosstalk",
-                       "accidentals")
+
+@dataclass(frozen=True)
+class ParamDistribution:
+    """Normal distribution for one imperfection knob, in file units.
+
+    Draws are clamped to the knob's range in PARAMS.
+    """
+
+    mean: float
+    sigma: float = 0.0
+
+    def __post_init__(self):
+        for name in ("mean", "sigma"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {v!r}")
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
+            object.__setattr__(self, name, float(v))
+        if self.sigma < 0.0:
+            raise ValueError(f"sigma must be non-negative, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -48,35 +70,43 @@ class Param:
     """One apparatus knob as it appears in parameter and scenario files.
 
     A ``_deg`` suffix on the key means the file gives degrees; the record
-    field holds radians.  A group of None marks a knob that only
-    parameter files set and Monte Carlo never samples.  The clamp is the
-    physical sampling range: unitless weights stay in [0, 1], angles are
-    kept finite and well inside a single branch of the model.
+    field holds radians.  Scenarios that activate the knob's group sample
+    it, clamped to its physical range: unitless weights stay in [0, 1],
+    angles finite and well inside a single branch of the model.  Without
+    a distribution it sits at ``default``.  ``budget`` is its
+    characterized distribution, used by the builtin scenarios (None:
+    ideal there).
     """
 
     key: str
     field: str
-    group: str | None
-    clamp: tuple | None
+    group: str
+    clamp: tuple
+    budget: ParamDistribution | None = None
+    default: float = 0.0
 
 
-# The sampled rows come first, in an order that fixes the random-stream
-# layout, so new sampled knobs must only ever be appended after them.
+# Row order fixes the random-stream layout: a new knob must only ever be
+# appended, so every existing draw keeps its values.
 PARAMS = (
-    Param("source.eps_theta_spin_deg", "eps_theta_spin", "source-spin", (-90.0, 90.0)),
-    Param("source.eps_phi_spin_deg", "eps_phi_spin", "source-spin", (-180.0, 180.0)),
-    Param("source.lambda_spin", "lambda_spin", "source-spin", (0.0, 1.0)),
-    Param("source.eps_theta_orbit_deg", "eps_theta_orbit", "source-orbit", (-90.0, 90.0)),
-    Param("source.eps_phi_orbit_deg", "eps_phi_orbit", "source-orbit", (-180.0, 180.0)),
-    Param("source.lambda_orbit", "lambda_orbit", "source-orbit", (0.0, 1.0)),
-    Param("gate.eps_H", "eps_H", "pbs-crosstalk", (0.0, 1.0)),
-    Param("gate.eps_V", "eps_V", "pbs-crosstalk", (0.0, 1.0)),
-    Param("accidentals.fraction", "accidental_fraction", "accidentals", (0.0, 0.99)),
-    Param("gate.phi1_deg", "phi1", None, None),
-    Param("gate.phi2_deg", "phi2", None, None),
+    Param("source.eps_theta_spin_deg", "eps_theta_spin", "source-spin", (-90.0, 90.0), ParamDistribution(1.0, 0.7)),
+    Param("source.eps_phi_spin_deg", "eps_phi_spin", "source-spin", (-180.0, 180.0), ParamDistribution(0.0, 4.0)),
+    Param("source.lambda_spin", "lambda_spin", "source-spin", (0.0, 1.0), ParamDistribution(0.010, 0.002)),
+    Param("source.eps_theta_orbit_deg", "eps_theta_orbit", "source-orbit", (-90.0, 90.0), ParamDistribution(1.7, 0.6)),
+    Param("source.eps_phi_orbit_deg", "eps_phi_orbit", "source-orbit", (-180.0, 180.0), ParamDistribution(0.0, 5.0)),
+    Param("source.lambda_orbit", "lambda_orbit", "source-orbit", (0.0, 1.0), ParamDistribution(0.03, 0.01)),
+    Param("gate.eps_H", "eps_H", "pbs-crosstalk", (0.0, 1.0), ParamDistribution(0.005, 0.001)),
+    Param("gate.eps_V", "eps_V", "pbs-crosstalk", (0.0, 1.0), ParamDistribution(0.010, 0.002)),
+    Param("accidentals.fraction", "accidental_fraction", "accidentals", (0.0, 0.99),
+          ParamDistribution(DEFAULT_ACCIDENTAL_FRACTION), DEFAULT_ACCIDENTAL_FRACTION),
+    Param("gate.phi1_deg", "phi1", "pbs-crosstalk", (-180.0, 180.0)),
+    Param("gate.phi2_deg", "phi2", "pbs-crosstalk", (-180.0, 180.0)),
 )
 
-_SAMPLED = tuple(p for p in PARAMS if p.group is not None)
+IMPERFECTION_GROUPS = tuple(dict.fromkeys(p.group for p in PARAMS))
+
+# One builtin scenario per group of IMPERFECTION_GROUPS, then all groups.
+BUILTIN_NAMES = ("spin", "orbit", "crosstalk", "accidentals", "all")
 
 DEFAULT_ITERATIONS = 100
 DEFAULT_SEED = 6
@@ -125,24 +155,6 @@ def parse_key_values(text: str, keys: dict, check=None) -> dict:
                 raise ValueError(f"line {lineno}: {key}: {exc}") from None
         values[key] = v
     return values
-
-
-@dataclass(frozen=True)
-class ParamDistribution:
-    """Normal distribution for one imperfection knob, in file units.
-
-    Draws are clamped to the knob's range in PARAMS.
-    """
-
-    mean: float
-    sigma: float = 0.0
-
-    def __post_init__(self):
-        for name in ("mean", "sigma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.sigma < 0.0:
-            raise ValueError(f"sigma must be non-negative, got {self.sigma}")
 
 
 def _to_fields(values: dict, ideal) -> dict:
@@ -196,10 +208,10 @@ class ImperfectionParams:
 class McScenario:
     """A named set of active imperfection groups and their distributions.
 
-    Parameters without an explicit distribution sit at their ideal value
-    (zero, except the accidental fraction which defaults to the
-    characterized value when its group is active).  Inactive groups are
-    forced to ideal regardless of the provided distributions.
+    A knob of an active group without an explicit distribution sits at
+    its default in PARAMS (zero, except the accidental fraction, which
+    sits at its characterized value).  Inactive groups are forced to
+    ideal regardless of the provided distributions.
     """
 
     name: str
@@ -209,9 +221,12 @@ class McScenario:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
+        if isinstance(self.active, str):
+            raise ValueError("active must be a collection of group names, "
+                             f"got the string {self.active!r}")
         object.__setattr__(self, "active", frozenset(self.active))
         _check_groups(self.active)
-        valid_params = [p.key for p in _SAMPLED]
+        valid_params = [p.key for p in PARAMS]
         unknown_params = set(self.distributions) - set(valid_params)
         if unknown_params:
             raise ValueError(
@@ -243,32 +258,17 @@ def _check_iterations(iterations: int) -> None:
 
 
 def default_scenarios() -> list:
-    """The five builtin scenarios of the characterized imperfection budget."""
-    spin = {
-        "source.eps_theta_spin_deg": ParamDistribution(1.0, 0.7),
-        "source.eps_phi_spin_deg": ParamDistribution(0.0, 4.0),
-        "source.lambda_spin": ParamDistribution(0.010, 0.002),
-    }
-    orbit = {
-        "source.eps_theta_orbit_deg": ParamDistribution(1.7, 0.6),
-        "source.eps_phi_orbit_deg": ParamDistribution(0.0, 5.0),
-        "source.lambda_orbit": ParamDistribution(0.03, 0.01),
-    }
-    crosstalk = {
-        "gate.eps_H": ParamDistribution(0.005, 0.001),
-        "gate.eps_V": ParamDistribution(0.010, 0.002),
-    }
-    accidentals = {
-        "accidentals.fraction": ParamDistribution(DEFAULT_ACCIDENTAL_FRACTION, 0.0),
-    }
-    joint = {**spin, **orbit, **crosstalk, **accidentals}
-    return [
-        McScenario("spin", frozenset({"source-spin"}), spin),
-        McScenario("orbit", frozenset({"source-orbit"}), orbit),
-        McScenario("crosstalk", frozenset({"pbs-crosstalk"}), crosstalk),
-        McScenario("accidentals", frozenset({"accidentals"}), accidentals),
-        McScenario("all", frozenset(IMPERFECTION_GROUPS), joint),
-    ]
+    """The builtin scenarios of the characterized imperfection budget.
+
+    One scenario per group, then one with every group, named by
+    BUILTIN_NAMES; each knob of an active group draws from its budget in
+    PARAMS.
+    """
+    groups = [{g} for g in IMPERFECTION_GROUPS] + [set(IMPERFECTION_GROUPS)]
+    return [McScenario(name, frozenset(active),
+                       {p.key: p.budget for p in PARAMS
+                        if p.group in active and p.budget is not None})
+            for name, active in zip(BUILTIN_NAMES, groups)]
 
 
 def builtin_scenario(name: str) -> McScenario:
@@ -277,7 +277,7 @@ def builtin_scenario(name: str) -> McScenario:
         if s.name == name:
             return s
     raise ValueError(f"unknown builtin scenario {name!r}; valid names: "
-                     f"{[s.name for s in default_scenarios()]}")
+                     f"{list(BUILTIN_NAMES)}")
 
 
 def _standard_normals(seed: int, iteration_index: int, count: int) -> np.ndarray:
@@ -295,20 +295,15 @@ def _sample_columns(scenario: McScenario, start: int, stop: int) -> dict:
     """Draws start..stop-1 as {record field: array}, clamped, in radians.
 
     The stream position of draw i depends only on (scenario.seed, i) and
-    every sampled knob consumes a fixed slot, whether or not its group
-    is active.  The phases are not sampled and stay zero.
+    every knob consumes a fixed slot, whether or not its group is active.
     """
-    z = np.array([_standard_normals(scenario.seed, i, len(_SAMPLED))
+    z = np.array([_standard_normals(scenario.seed, i, len(PARAMS))
                   for i in range(start, stop)])
     values = {}
-    for p, zp in zip(_SAMPLED, z.T):
-        if p.group not in scenario.active:
-            continue
-        d = scenario.distributions.get(p.key)
-        if d is not None:
+    for p, zp in zip(PARAMS, z.T):
+        if p.group in scenario.active:
+            d = scenario.distributions.get(p.key, ParamDistribution(p.default))
             values[p.key] = np.clip(d.mean + d.sigma * zp, *p.clamp)
-        elif p.group == "accidentals":
-            values[p.key] = np.full(len(zp), DEFAULT_ACCIDENTAL_FRACTION)
     return _to_fields(values, np.zeros(stop - start))
 
 
@@ -418,7 +413,7 @@ def naive_budget_check(singles, combined: McResult) -> BudgetReport:
 # --- scenario files ---------------------------------------------------------
 
 _SCENARIO_KEYS = {"name": str, "active": str, "iterations": int, "seed": int,
-                  **{f"{p.key}.{kind}": float for p in _SAMPLED
+                  **{f"{p.key}.{kind}": float for p in PARAMS
                      for kind in ("mean", "sigma")}}
 
 
@@ -440,12 +435,12 @@ def parse_scenario_text(text: str) -> McScenario:
 
     Recognized keys: name=, active= (comma-separated groups),
     iterations=, seed=, and per-parameter <param>.mean= / <param>.sigma=
-    with <param> the key of a sampled row of PARAMS.  Blank lines and
-    #-comments are ignored.  Out-of-range values fail with their line.
+    with <param> a key of PARAMS.  Blank lines and #-comments are
+    ignored.  Out-of-range values fail with their line.
     """
     values = parse_key_values(text, _SCENARIO_KEYS, _check_scenario_value)
     dists = {}
-    for p in _SAMPLED:
+    for p in PARAMS:
         mean, sigma = f"{p.key}.mean", f"{p.key}.sigma"
         if mean in values or sigma in values:
             dists[p.key] = ParamDistribution(values.get(mean, 0.0),

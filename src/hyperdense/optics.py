@@ -85,8 +85,9 @@ class AccidentalModel:
 
 
 def check_channel(p) -> np.ndarray:
-    """p[y, x] as a float array; ValueError unless it is non-empty, every entry
-    is finite and in [0, 1] (to 1e-12) and every column sums to 1 within 1e-9."""
+    """p[..., y, x], one channel or a stack, as a float array; ValueError unless
+    it is non-empty, every entry is finite and in [0, 1] (to 1e-12) and every
+    column sums to 1 within 1e-9."""
     p = np.asarray(p, dtype=float)
     if not p.size:
         raise ValueError("channel is empty")
@@ -94,9 +95,10 @@ def check_channel(p) -> np.ndarray:
         raise ValueError("entries must be finite")
     if p.min() < -1e-12 or p.max() > 1.0 + 1e-12:
         raise ValueError("entries must be probabilities in [0, 1]")
-    col = p.sum(axis=0)
-    if np.max(np.abs(col - 1.0)) > 1e-9:
-        raise ValueError(f"columns must sum to 1 within 1e-9, got {col}")
+    deviation = np.max(np.abs(p.sum(axis=-2) - 1.0))
+    if deviation > 1e-9:
+        raise ValueError(f"columns must sum to 1 within 1e-9, largest "
+                         f"deviation {deviation:.3g}")
     return p
 
 
@@ -170,8 +172,9 @@ def transfer_matrix(source: SourceParams = SourceParams(),
     """Conditional-detection probabilities for all sent messages.
 
     p(y|x) = Tr(P_y U rho_x U+) with rho_x the encoded source state and
-    U the two-photon analyzer.  Columns are renormalized as a guard,
-    which is a no-op while the projectors stay complete.
+    U the two-photon analyzer.  The raw matrix must pass check_channel,
+    so incomplete projectors fail here; what the guard then removes is
+    rounding: entries are clipped at 0 and columns renormalized.
     """
     rho_source = build_source(source)
     u = two_photon_gate(gate)
@@ -181,7 +184,7 @@ def transfer_matrix(source: SourceParams = SourceParams(),
         analyzed = u @ encode(rho_source, x) @ u.conj().T
         for y in MESSAGES:
             p[y, x] = np.einsum("ij,ji->", projectors[y], analyzed).real
-    p = np.clip(p, 0.0, None)
+    p = np.clip(check_channel(p), 0.0, None)
     p /= p.sum(axis=0, keepdims=True)
     return TransferMatrix(p)
 
@@ -247,8 +250,8 @@ def transfer_matrix_stack(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     so its 16 pair probabilities are diag(W_x rho W_x+).  Photon 1 is
     contracted once, photon 2 once per message, each as a product with
     the outer products of 4-entry rows; pairs are then summed by
-    signature_map, and columns get the same clip and renormalization
-    guard as transfer_matrix.
+    signature_map, and columns get the same check, clip and
+    renormalization guard as transfer_matrix.
     """
     readout, encodings, signatures = _heisenberg_constants()
     n = len(u)
@@ -261,7 +264,7 @@ def transfer_matrix_stack(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     c = (a[:, None] @ encodings).reshape(n, 16, 4)
     pairs = (_outer_rows(c) @ t.transpose(0, 2, 1)).real
     p = (pairs.reshape(n, 4, 16) @ signatures).transpose(0, 2, 1)
-    p = np.clip(p, 0.0, None)
+    p = np.clip(check_channel(p), 0.0, None)
     p /= p.sum(axis=1, keepdims=True)
     return p
 

@@ -144,7 +144,7 @@ def test_bound_curves_match_oracle():
 
 def _reference_draw(scenario: mc.McScenario, i: int) -> dict:
     """One draw by the per-knob scalar rule: clamp, accidental default, radians."""
-    z = mc._standard_normals(scenario.seed, i, 9)
+    z = mc._standard_normals(scenario.seed, i, len(mc.PARAMS))
     out = {}
     for j, p in enumerate(mc.PARAMS):
         v = 0.0
@@ -227,19 +227,29 @@ def test_scenarios_sharing_a_knob_draw_equal_values(a, b, key, mean, sigma, star
     assert np.array_equal(got, mc._sample_columns(b, start, start + 3)[param.field])
 
 
-@pytest.mark.parametrize("name", [s.name for s in mc.default_scenarios()])
+def _phase_scenario() -> mc.McScenario:
+    # PBS reflection phases a few degrees off, on top of the crosstalk budget
+    return mc.McScenario("phases", {"pbs-crosstalk", "accidentals"}, {
+        **mc.builtin_scenario("crosstalk").distributions,
+        "gate.phi1_deg": mc.ParamDistribution(3.0, 2.0),
+        "gate.phi2_deg": mc.ParamDistribution(-1.0, 4.0)})
+
+
+@pytest.mark.parametrize("name", [s.name for s in mc.default_scenarios()] + ["phases"])
 def test_run_over_several_blocks_matches_per_draw_path(monkeypatch, name):
-    base = mc.builtin_scenario(name)
+    base = _phase_scenario() if name == "phases" else mc.builtin_scenario(name)
     scenario = mc.McScenario(name, base.active, base.distributions, 11, seed=31)
     whole = mc.run(scenario)
     monkeypatch.setattr(mc, "_BLOCK", 4)
     blocks = mc.run(scenario)
     assert np.array_equal(blocks.capacity_bits, whole.capacity_bits)
     assert np.array_equal(blocks.success_probability, whole.success_probability)
-    for i in range(scenario.iterations):
-        params = mc.sample_params(scenario, i)
+    draws = [mc.sample_params(scenario, i) for i in range(scenario.iterations)]
+    for i, params in enumerate(draws):
         t = transfer_matrix(params.source_params(), params.gate_params())
         if "accidentals" in scenario.active:
             t = apply_accidentals(t, params.accidental_model())
         assert abs(blocks.capacity_bits[i] - channel_capacity(t).capacity_bits) < 1e-12
         assert abs(blocks.success_probability[i] - average_success(t)) < 1e-12
+    # the phases move exactly when a distribution is given for them
+    assert any(d.phi1 or d.phi2 for d in draws) == (name == "phases")

@@ -76,6 +76,15 @@ def test_scenario_validation_errors():
         mc.McScenario("bad", iterations=0)
     with pytest.raises(ValueError, match="sigma"):
         mc.ParamDistribution(0.0, -1.0)
+    for args, name in [(("0.1",), "mean"), ((True,), "mean"), ((None,), "mean"),
+                       ((0.1, True), "sigma"), ((0.1, "0"), "sigma")]:
+        with pytest.raises(ValueError, match=f"{name} must be a real number"):
+            mc.ParamDistribution(*args)
+    d = mc.ParamDistribution(np.float32(0.5), 1)
+    assert (d, type(d.mean), type(d.sigma)) == (mc.ParamDistribution(0.5, 1.0), float, float)
+    # a string is one group name, not a collection of them
+    with pytest.raises(ValueError, match="active must be a collection of group names"):
+        mc.McScenario("bad", "accidentals")
     # caught when the scenario is built, naming the field, not inside run
     with pytest.raises(ValueError, match="source.lambda_spin must be a ParamDistribution"):
         mc.McScenario("bad", {"source-spin"}, {"source.lambda_spin": (0.1, 0.01)})
@@ -133,6 +142,30 @@ def test_builtin_scenario_lookup():
     assert mc.builtin_scenario("all").active == frozenset(mc.IMPERFECTION_GROUPS)
     with pytest.raises(ValueError, match="valid names"):
         mc.builtin_scenario("everything")
+
+
+def test_default_scenarios_are_the_characterized_budget():
+    # the five builtin scenarios, written out as they were before PARAMS
+    # carried the budgets
+    D = mc.ParamDistribution
+    spin = {"source.eps_theta_spin_deg": D(1.0, 0.7),
+            "source.eps_phi_spin_deg": D(0.0, 4.0),
+            "source.lambda_spin": D(0.010, 0.002)}
+    orbit = {"source.eps_theta_orbit_deg": D(1.7, 0.6),
+             "source.eps_phi_orbit_deg": D(0.0, 5.0),
+             "source.lambda_orbit": D(0.03, 0.01)}
+    crosstalk = {"gate.eps_H": D(0.005, 0.001), "gate.eps_V": D(0.010, 0.002)}
+    accidentals = {"accidentals.fraction": D(DEFAULT_ACCIDENTAL_FRACTION, 0.0)}
+    want = [
+        mc.McScenario("spin", frozenset({"source-spin"}), spin),
+        mc.McScenario("orbit", frozenset({"source-orbit"}), orbit),
+        mc.McScenario("crosstalk", frozenset({"pbs-crosstalk"}), crosstalk),
+        mc.McScenario("accidentals", frozenset({"accidentals"}), accidentals),
+        mc.McScenario("all", frozenset({"source-spin", "source-orbit", "pbs-crosstalk",
+                                        "accidentals"}),
+                      {**spin, **orbit, **crosstalk, **accidentals}),
+    ]
+    assert mc.default_scenarios() == want
 
 
 def test_builtin_reference_results():
@@ -230,9 +263,11 @@ source.lambda_orbit.mean = 0.02
 def test_parse_scenario_text_errors():
     with pytest.raises(ValueError, match="line 2"):
         mc.parse_scenario_text("name = x\nnot a pair\n")
-    for key in ("gate.eps_h.mean", "gate.phi1_deg.mean"):
-        with pytest.raises(ValueError, match="valid keys"):
-            mc.parse_scenario_text(f"{key} = 0.1\n")
+    with pytest.raises(ValueError, match="valid keys"):
+        mc.parse_scenario_text("gate.eps_h.mean = 0.1\n")
+    # the PBS phases are sampled knobs like any other
+    s = mc.parse_scenario_text("gate.phi1_deg.mean = 0.1\n")
+    assert s.distributions == {"gate.phi1_deg": mc.ParamDistribution(0.1)}
     with pytest.raises(ValueError, match="unknown imperfection groups"):
         mc.parse_scenario_text("active = gremlins\n")
 

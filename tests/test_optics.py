@@ -216,6 +216,34 @@ def test_transfer_matrix_validation():
         TransferMatrix(np.zeros((0, 0)), labels=())
 
 
+def test_check_channel_takes_stacks_and_reports_the_largest_deviation():
+    good = np.stack([np.eye(4), np.full((4, 4), 0.25)])
+    assert optics.check_channel(good) is good
+    with pytest.raises(ValueError, match="columns must sum to 1 within 1e-9, "
+                                         "largest deviation 0.5$"):
+        optics.check_channel(np.stack([np.eye(4), 0.5 * np.eye(4)]))
+
+
+def test_incomplete_detection_fails_in_both_analyzers(monkeypatch):
+    # one message's projector scaled by 1.1: its row no longer completes the
+    # columns, and neither analyzer may renormalize that away
+    readout, encodings, signatures = optics._heisenberg_constants()
+    signatures = signatures.copy()
+    signatures[:, 1] *= 1.1
+    projectors = list(optics.detection_projectors())
+    projectors[1] = 1.1 * projectors[1]
+    monkeypatch.setattr(optics, "_heisenberg_constants",
+                        lambda: (readout, encodings, signatures))
+    monkeypatch.setattr(optics, "detection_projectors", lambda: tuple(projectors))
+    match = "columns must sum to 1 within 1e-9, largest deviation"
+    with pytest.raises(ValueError, match=match):
+        optics.transfer_matrix(SourceParams(lambda_spin=0.5, lambda_orbit=0.5))
+    rho = states.build_source_stack([0.0], [0.0], [0.5], [0.0], [0.0], [0.5])
+    u = optics.analyzer_unitary_stack([0.0], [0.0], [0.0], [0.0])
+    with pytest.raises(ValueError, match=match):
+        optics.transfer_matrix_stack(rho, u)
+
+
 def test_serialization_round_trips_bit_exact():
     t = optics.transfer_matrix(
         SourceParams(eps_theta_spin=1.0 * _DEG, eps_phi_spin=0.1,

@@ -1,4 +1,5 @@
-"""Checks on the package as a whole: docstrings and the benchmark's traced names."""
+"""Checks on the package as a whole: docstrings, the README's knob table and
+the benchmark's traced names."""
 
 from __future__ import annotations
 
@@ -7,8 +8,11 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+from hyperdense import montecarlo as mc
+
 MODULES = ("linalg", "states", "optics", "capacity", "montecarlo", "cli")
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_public_functions_and_classes_have_docstrings():
@@ -25,6 +29,24 @@ def test_public_functions_and_classes_have_docstrings():
             if not doc or doc.startswith(f"{name}("):
                 missing.append(f"{module_name}.{name}")
     assert missing == []
+
+
+def test_readme_knob_table_is_params():
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| key | unit | group | clamp | budget | default |")
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append([c.strip().strip("`") for c in line.strip("|").split("|")])
+    assert [r[0] for r in rows] == [p.key for p in mc.PARAMS]
+    for (key, unit, group, clamp, budget, default), p in zip(rows, mc.PARAMS):
+        assert unit == ("degrees" if key.endswith("_deg") else "1"), key
+        assert group == p.group, key
+        assert tuple(float(v) for v in clamp.strip("[]").split(",")) == p.clamp, key
+        assert (None if budget == "none" else mc.ParamDistribution(
+            *(float(v) for v in budget.split("±")))) == p.budget, key
+        assert float(default) == p.default, key
 
 
 def test_traced_benchmark_names_resolve_to_callables():
