@@ -265,9 +265,8 @@ def default_scenarios() -> list:
     PARAMS.
     """
     groups = [{g} for g in IMPERFECTION_GROUPS] + [set(IMPERFECTION_GROUPS)]
-    return [McScenario(name, frozenset(active),
-                       {p.key: p.budget for p in PARAMS
-                        if p.group in active and p.budget is not None})
+    return [McScenario(name, active, {p.key: p.budget for p in PARAMS
+                                      if p.group in active and p.budget is not None})
             for name, active in zip(BUILTIN_NAMES, groups)]
 
 
