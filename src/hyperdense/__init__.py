@@ -24,11 +24,8 @@ from __future__ import annotations
 from .capacity import (
     CapacityResult,
     average_success,
+    bound_channel,
     bound_curve,
-    bound_lower_3,
-    bound_lower_4,
-    bound_upper_3,
-    bound_upper_4,
     channel_capacity,
     mutual_information,
     snr_per_message,
@@ -98,11 +95,8 @@ __all__ = [
     "analyzer_unitary",
     "apply_accidentals",
     "average_success",
+    "bound_channel",
     "bound_curve",
-    "bound_lower_3",
-    "bound_lower_4",
-    "bound_upper_3",
-    "bound_upper_4",
     "build_source",
     "builtin_scenario",
     "channel_capacity",

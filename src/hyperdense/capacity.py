@@ -2,14 +2,14 @@
 
 The detection scheme turns each sent message x into a distribution over
 detected messages y, i.e. a discrete memoryless channel.  Capacity is
-computed with one Blahut-Arimoto loop, channel_capacity_stack; closed-form
-reference curves bound the achievable (success probability, capacity)
-region for four-message and three-message encodings.
+computed with one Blahut-Arimoto loop, channel_capacity_stack.
 
-The three-symbol bound constructions mirror the four-symbol ones by
-analogy (uniform noise for the lower curve, one noiseless symbol plus a
-binary symmetric pair for the upper curve); they are not derived from a
-characterized apparatus.
+bound_channel bounds the achievable (success probability, capacity)
+region of an n-message encoding, n = 3 or 4.  Its lower channel spreads
+the errors uniformly, so it meets Fano's inequality with equality for
+uniform inputs (Cover & Thomas, Elements of Information Theory, 2nd ed.,
+sec. 2.10); its upper channel puts every error into one binary symmetric
+pair and keeps the other n - 2 symbols noiseless.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optics import TransferMatrix, check_channel
+from .optics import MESSAGE_LABELS, TransferMatrix, check_channel
 from .states import MESSAGES, PAIR_MESSAGES
 
 _LN2 = math.log(2.0)
@@ -178,79 +178,49 @@ def snr_per_message(counts) -> list:
 
 # --- bound curves -----------------------------------------------------------
 
-def bound_lower_4(p_s: float) -> TransferMatrix:
-    """Uniform-noise four-symbol channel: diagonal p_s, off-diagonal (1-p_s)/3."""
-    if not 0.25 <= p_s <= 1.0:
-        raise ValueError(f"p_s must lie in [0.25, 1], got {p_s}")
-    f = (1.0 - p_s) / 3.0
-    p = np.full((4, 4), f)
-    np.fill_diagonal(p, p_s)
-    return TransferMatrix(p)
+def _check_curve(encoding: int, which: str) -> None:
+    if encoding not in (3, 4) or which not in ("lower", "upper"):
+        raise ValueError(f"unknown curve ({encoding!r}, {which!r}); encoding must "
+                         "be 3 or 4 and which must be 'lower' or 'upper'")
 
 
-def bound_upper_4(p_s: float) -> TransferMatrix:
-    """Two noiseless symbols plus a binary symmetric pair with diagonal 2*p_s-1."""
-    if not 0.5 <= p_s <= 1.0:
-        raise ValueError(f"p_s must lie in [0.5, 1], got {p_s}")
-    d = 2.0 * p_s - 1.0
-    p = np.array([
-        [d, 1.0 - d, 0.0, 0.0],
-        [1.0 - d, d, 0.0, 0.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-    ])
-    return TransferMatrix(p)
+def bound_channel(encoding: int, which: str, p_s: float) -> TransferMatrix:
+    """Bound channel of n = encoding symbols at average success p_s.
 
-
-def bound_lower_3(p_s: float) -> TransferMatrix:
-    """Uniform-noise three-symbol channel: diagonal p_s, off-diagonal (1-p_s)/2."""
-    if not 1.0 / 3.0 <= p_s <= 1.0:
-        raise ValueError(f"p_s must lie in [1/3, 1], got {p_s}")
-    f = (1.0 - p_s) / 2.0
-    p = np.full((3, 3), f)
-    np.fill_diagonal(p, p_s)
-    return TransferMatrix(p, _THREE_LABELS)
-
-
-def bound_upper_3(p_s: float) -> TransferMatrix:
-    """One noiseless symbol plus a binary symmetric pair with diagonal (3*p_s-1)/2."""
-    if not 1.0 / 3.0 <= p_s <= 1.0:
-        raise ValueError(f"p_s must lie in [1/3, 1], got {p_s}")
-    d = (3.0 * p_s - 1.0) / 2.0
-    p = np.array([
-        [1.0, 0.0, 0.0],
-        [0.0, d, 1.0 - d],
-        [0.0, 1.0 - d, d],
-    ])
-    return TransferMatrix(p, _THREE_LABELS)
-
-
-_CURVES = {
-    (4, "lower"): (bound_lower_4, 0.25, 1.0),
-    (4, "upper"): (bound_upper_4, 0.75, 1.0),
-    (3, "lower"): (bound_lower_3, 1.0 / 3.0, 1.0),
-    (3, "upper"): (bound_upper_3, 2.0 / 3.0, 1.0),
-}
+    "lower": diagonal p_s, (1 - p_s)/(n - 1) elsewhere; p_s in [1/n, 1].
+    "upper": a binary symmetric pair with diagonal (n*p_s - n + 2)/2, then
+    n - 2 noiseless symbols; p_s in [(n - 2)/n, 1].
+    """
+    _check_curve(encoding, which)
+    n = encoding
+    lo = 1.0 / n if which == "lower" else (n - 2) / n
+    if not lo <= p_s <= 1.0:
+        raise ValueError(f"p_s must lie in [{lo:.6g}, 1], got {p_s}")
+    if which == "lower":
+        p = np.full((n, n), (1.0 - p_s) / (n - 1))
+        np.fill_diagonal(p, p_s)
+    else:
+        d = (n * p_s - n + 2) / 2
+        p = np.eye(n)
+        p[:2, :2] = [[d, 1.0 - d], [1.0 - d, d]]
+    return TransferMatrix(p, _THREE_LABELS if n == 3 else MESSAGE_LABELS)
 
 
 def bound_curve(encoding: int, which: str, resolution: int = 50) -> np.ndarray:
     """Sample (p_s, capacity_bits) along one bound curve.
 
-    encoding is 3 or 4, which is "lower" or "upper".  Each curve is
-    evaluated on the p_s range where its capacity rises monotonically
-    to the noiseless limit: lower curves start at p_s = 1/n (uniform
-    output, zero capacity), upper curves at the p_s where their noisy
-    branch carries nothing.
+    encoding is n = 3 or 4, which is "lower" or "upper" (see
+    bound_channel).  Each curve is evaluated on the p_s range where its
+    capacity rises monotonically to the noiseless limit: lower curves
+    start at p_s = 1/n (uniform output, zero capacity), upper curves at
+    p_s = (n - 1)/n, where the noisy pair carries nothing.
     """
     if not 2 <= resolution <= MAX_RESOLUTION:
         raise ValueError(f"resolution must lie in [2, {MAX_RESOLUTION}], "
                          f"got {resolution}")
-    try:
-        fn, lo, hi = _CURVES[(encoding, which)]
-    except KeyError:
-        raise ValueError(
-            f"unknown curve ({encoding!r}, {which!r}); encoding must be 3 or 4 "
-            "and which must be 'lower' or 'upper'") from None
-    ps = np.linspace(lo, hi, resolution)
-    caps = channel_capacity_stack([fn(p).probabilities for p in ps])[0]
+    _check_curve(encoding, which)
+    start = 1.0 / encoding if which == "lower" else (encoding - 1) / encoding
+    ps = np.linspace(start, 1.0, resolution)
+    caps = channel_capacity_stack(
+        [bound_channel(encoding, which, p).probabilities for p in ps])[0]
     return np.column_stack([ps, caps])

@@ -106,7 +106,10 @@ def _json_text(obj) -> str:
 
 
 def _csv_cell(v) -> str:
-    return f"{v:.17g}" if isinstance(v, float) else str(v)
+    if isinstance(v, float):
+        return f"{v:.17g}"
+    v = str(v)  # RFC 4180: quote a cell with a separator, quote or line break
+    return '"' + v.replace('"', '""') + '"' if any(c in v for c in ',"\r\n') else v
 
 
 def _csv_text(header, rows, notes=None) -> str:

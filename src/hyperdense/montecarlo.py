@@ -111,6 +111,8 @@ BUILTIN_NAMES = ("spin", "orbit", "crosstalk", "accidentals", "all")
 DEFAULT_ITERATIONS = 100
 DEFAULT_SEED = 6
 MAX_ITERATIONS = 10**7
+# Philox is keyed by the seed mod 2**64: a wider range would alias streams.
+_INT_RANGES = {"iterations": (1, MAX_ITERATIONS), "seed": (-(1 << 63), _MASK64)}
 
 # Draws per block in run: bounds run's working memory whatever the
 # iteration count.
@@ -240,7 +242,7 @@ class McScenario:
             if isinstance(v, bool) or not hasattr(v, "__index__"):
                 raise ValueError(f"{name} must be an integer, got {v!r}")
             object.__setattr__(self, name, operator.index(v))
-        _check_iterations(self.iterations)
+            _check_int(name, getattr(self, name))
 
 
 def _check_groups(active) -> None:
@@ -251,10 +253,10 @@ def _check_groups(active) -> None:
             f"valid groups: {list(IMPERFECTION_GROUPS)}")
 
 
-def _check_iterations(iterations: int) -> None:
-    if not 1 <= iterations <= MAX_ITERATIONS:
-        raise ValueError(f"iterations must lie in [1, {MAX_ITERATIONS}], "
-                         f"got {iterations}")
+def _check_int(name: str, v: int) -> None:
+    lo, hi = _INT_RANGES[name]
+    if not lo <= v <= hi:
+        raise ValueError(f"{name} must lie in [{lo}, {hi}], got {v}")
 
 
 def default_scenarios() -> list:
@@ -421,8 +423,8 @@ def _groups(text: str) -> frozenset:
 
 
 def _check_scenario_value(key: str, value) -> None:
-    if key == "iterations":
-        _check_iterations(value)
+    if key in _INT_RANGES:
+        _check_int(key, value)
     elif key == "active":
         _check_groups(_groups(value))
     elif key.endswith(".sigma"):
@@ -434,15 +436,15 @@ def parse_scenario_text(text: str) -> McScenario:
 
     Recognized keys: name=, active= (comma-separated groups),
     iterations=, seed=, and per-parameter <param>.mean= / <param>.sigma=
-    with <param> a key of PARAMS.  Blank lines and #-comments are
-    ignored.  Out-of-range values fail with their line.
+    with <param> a key of PARAMS (a missing mean is the knob's default).
+    Blank lines and #-comments are ignored; bad values fail with their line.
     """
     values = parse_key_values(text, _SCENARIO_KEYS, _check_scenario_value)
     dists = {}
     for p in PARAMS:
         mean, sigma = f"{p.key}.mean", f"{p.key}.sigma"
         if mean in values or sigma in values:
-            dists[p.key] = ParamDistribution(values.get(mean, 0.0),
+            dists[p.key] = ParamDistribution(values.get(mean, p.default),
                                              values.get(sigma, 0.0))
     return McScenario(name=values.get("name", "custom"),
                       active=_groups(values.get("active", "")),

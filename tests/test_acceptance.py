@@ -73,20 +73,21 @@ def test_naive_reduction_sum_underestimates_joint_capacity():
 
 def test_capacity_of_uniform_noise_matches_closed_form():
     for p_s in np.linspace(0.3, 1.0, 20):
-        got = cap.channel_capacity(cap.bound_lower_4(p_s)).capacity_bits
+        got = cap.channel_capacity(cap.bound_channel(4, "lower", p_s)).capacity_bits
         assert abs(got - uniform_noise_capacity(p_s)) < 1e-6, p_s
 
 
 def test_capacity_of_split_channel_matches_closed_form():
     for p_s in np.linspace(0.5, 1.0, 20):
-        got = cap.channel_capacity(cap.bound_upper_4(p_s)).capacity_bits
+        got = cap.channel_capacity(cap.bound_channel(4, "upper", p_s)).capacity_bits
         assert abs(got - split_channel_capacity_4(p_s)) < 1e-6, p_s
     # The linear-optics limit log2(3) is the minimum of the closed form, at
     # p_s = 0.75 (diagonal 2p_s-1 = 1/2), where the upper curve starts.  At
     # p_s = 0.5 the noisy pair is a noiseless swap, so C = log2(2 + 2^1) = 2.
-    at_threshold = cap.channel_capacity(cap.bound_upper_4(0.75)).capacity_bits
+    at_threshold = cap.channel_capacity(
+        cap.bound_channel(4, "upper", 0.75)).capacity_bits
     assert abs(at_threshold - math.log2(3.0)) < 1e-9, at_threshold
-    at_half = cap.channel_capacity(cap.bound_upper_4(0.5)).capacity_bits
+    at_half = cap.channel_capacity(cap.bound_channel(4, "upper", 0.5)).capacity_bits
     assert abs(at_half - 2.0) < 1e-9, at_half
     first_p_s, first_bits = cap.bound_curve(4, "upper")[0]
     assert first_p_s == 0.75
@@ -94,8 +95,8 @@ def test_capacity_of_split_channel_matches_closed_form():
 
 
 def test_reported_operating_point_lies_between_bounds():
-    lower = cap.channel_capacity(cap.bound_lower_4(0.948)).capacity_bits
-    upper = cap.channel_capacity(cap.bound_upper_4(0.948)).capacity_bits
+    lower = cap.channel_capacity(cap.bound_channel(4, "lower", 0.948)).capacity_bits
+    upper = cap.channel_capacity(cap.bound_channel(4, "upper", 0.948)).capacity_bits
     assert lower <= 1.630 <= upper
     assert abs(lower - 1.6227) < 1e-3
 

@@ -71,7 +71,7 @@ def test_mutual_information_reference_channels():
     assert abs(cap.mutual_information(uniform, np.eye(4)) - 2.0) < 1e-12
     flat = np.full((4, 4), 0.25)
     assert abs(cap.mutual_information(uniform, flat)) < 1e-12
-    t = cap.bound_lower_4(0.948)
+    t = cap.bound_channel(4, "lower", 0.948)
     want = uniform_noise_capacity(0.948)
     assert abs(cap.mutual_information(uniform, t) - want) < 1e-12
     with pytest.raises(ValueError):
@@ -95,14 +95,14 @@ def test_capacity_identity_channel():
 
 
 def test_capacity_uniform_noise_closed_form():
-    result = cap.channel_capacity(cap.bound_lower_4(0.948))
+    result = cap.channel_capacity(cap.bound_channel(4, "lower", 0.948))
     assert abs(result.capacity_bits - uniform_noise_capacity(0.948)) < 1e-9
     assert abs(result.capacity_bits - 1.6227) < 1e-4
     assert np.allclose(result.input_distribution, 0.25, atol=1e-6)
 
 
 def test_capacity_split_channel_closed_form():
-    result = cap.channel_capacity(cap.bound_upper_4(0.948))
+    result = cap.channel_capacity(cap.bound_channel(4, "upper", 0.948))
     assert abs(result.capacity_bits - split_channel_capacity_4(0.948)) < 1e-9
     assert abs(result.capacity_bits - 1.779) < 1e-3
 
@@ -209,57 +209,65 @@ def test_snr_per_message():
 
 
 def test_bound_lower_4_structure():
-    assert np.allclose(cap.bound_lower_4(1.0).probabilities, np.eye(4), atol=1e-15)
-    quarter = cap.bound_lower_4(0.25)
+    assert np.allclose(cap.bound_channel(4, "lower", 1.0).probabilities, np.eye(4),
+                       atol=1e-15)
+    quarter = cap.bound_channel(4, "lower", 0.25)
     assert np.allclose(quarter.probabilities, 0.25, atol=1e-15)
     assert abs(cap.channel_capacity(quarter).capacity_bits) < 1e-9
-    t = cap.bound_lower_4(0.948).probabilities
+    t = cap.bound_channel(4, "lower", 0.948).probabilities
     assert np.allclose(np.diag(t), 0.948, atol=1e-15)
     off = t[~np.eye(4, dtype=bool)]
     assert np.allclose(off, 0.052 / 3.0, atol=1e-15)
     with pytest.raises(ValueError):
-        cap.bound_lower_4(0.2)
+        cap.bound_channel(4, "lower", 0.2)
     with pytest.raises(ValueError):
-        cap.bound_lower_4(1.1)
+        cap.bound_channel(4, "lower", 1.1)
 
 
 def test_bound_upper_4_structure():
-    assert np.allclose(cap.bound_upper_4(1.0).probabilities, np.eye(4), atol=1e-15)
-    t = cap.bound_upper_4(0.948).probabilities
+    assert np.allclose(cap.bound_channel(4, "upper", 1.0).probabilities, np.eye(4),
+                       atol=1e-15)
+    t = cap.bound_channel(4, "upper", 0.948).probabilities
     assert np.allclose(np.diag(t), [0.896, 0.896, 1.0, 1.0], atol=1e-12)
     assert abs(t[0, 1] - 0.104) < 1e-12 and abs(t[1, 0] - 0.104) < 1e-12
     assert np.max(np.abs(t[2:, :2])) == 0.0 and np.max(np.abs(t[:2, 2:])) == 0.0
     with pytest.raises(ValueError):
-        cap.bound_upper_4(0.49)
+        cap.bound_channel(4, "upper", 0.49)
 
 
 def test_bound_3_structure():
-    t = cap.bound_lower_3(1.0)
+    t = cap.bound_channel(3, "lower", 1.0)
     assert t.labels == ("S1", "S2", "S3")
     assert np.allclose(t.probabilities, np.eye(3), atol=1e-15)
     assert abs(cap.channel_capacity(t).capacity_bits - math.log2(3.0)) < 1e-9
-    third = cap.bound_lower_3(1.0 / 3.0)
+    third = cap.bound_channel(3, "lower", 1.0 / 3.0)
     assert abs(cap.channel_capacity(third).capacity_bits) < 1e-9
 
-    upper = cap.bound_upper_3(0.9)
+    upper = cap.bound_channel(3, "upper", 0.9)
     got = cap.channel_capacity(upper).capacity_bits
     assert abs(got - split_channel_capacity_3(0.9)) < 1e-9
     with pytest.raises(ValueError):
-        cap.bound_lower_3(0.2)
+        cap.bound_channel(3, "lower", 0.2)
     with pytest.raises(ValueError):
-        cap.bound_upper_3(0.2)
+        cap.bound_channel(3, "upper", 0.2)
+
+
+def test_bound_upper_3_matches_closed_form_along_the_curve():
+    for p_s in np.linspace(1.0 / 3.0, 1.0, 41):
+        got = cap.channel_capacity(cap.bound_channel(3, "upper", p_s)).capacity_bits
+        assert abs(got - split_channel_capacity_3(p_s)) < 1e-9, p_s
 
 
 def test_upper_bound_dominates_lower():
     for p_s in np.linspace(0.75, 1.0, 11):
-        lo = cap.channel_capacity(cap.bound_lower_4(p_s)).capacity_bits
-        hi = cap.channel_capacity(cap.bound_upper_4(p_s)).capacity_bits
+        lo = cap.channel_capacity(cap.bound_channel(4, "lower", p_s)).capacity_bits
+        hi = cap.channel_capacity(cap.bound_channel(4, "upper", p_s)).capacity_bits
         assert hi >= lo - 1e-9
 
 
-def _fano_bound(p_s: float) -> float:
-    # Fano with uniform inputs: H(X|Y) <= h(1 - p_s) + (1 - p_s) log2 3
-    return 2.0 - binary_entropy(1.0 - p_s) - (1.0 - p_s) * math.log2(3.0)
+def _fano_bound(p_s: float, n: int = 4) -> float:
+    # Fano with uniform inputs: H(X|Y) <= h(1 - p_s) + (1 - p_s) log2(n - 1)
+    return math.log2(n) - binary_entropy(1.0 - p_s) - (1.0 - p_s) * math.log2(n - 1)
 
 
 def _assert_above_fano(t) -> None:
@@ -269,13 +277,17 @@ def _assert_above_fano(t) -> None:
 
 
 def test_fano_bound_is_the_lower_curve():
-    for p_s in (0.25, 0.3, 0.5, 0.75, 0.948, 0.9492, 0.999, 1.0):
-        lower = cap.bound_lower_4(p_s)
-        assert abs(cap.channel_capacity(lower).capacity_bits
-                   - _fano_bound(p_s)) < 1e-9
-        # uniform noise meets Fano's inequality with equality
-        uniform_mi = cap.mutual_information(np.full(4, 0.25), lower)
-        assert abs(uniform_mi - _fano_bound(p_s)) < 1e-12
+    points = {4: [0.25, 0.3, 0.5, 0.75, 0.948, 0.9492, 0.999, 1.0,
+                  *np.linspace(0.25, 1.0, 41)],
+              3: np.linspace(1.0 / 3.0, 1.0, 41)}
+    for n, ps in points.items():
+        for p_s in ps:
+            lower = cap.bound_channel(n, "lower", p_s)
+            assert abs(cap.channel_capacity(lower).capacity_bits
+                       - _fano_bound(p_s, n)) < 1e-9, (n, p_s)
+            # uniform noise meets Fano's inequality with equality
+            uniform_mi = cap.mutual_information(np.full(n, 1.0 / n), lower)
+            assert abs(uniform_mi - _fano_bound(p_s, n)) < 1e-12, (n, p_s)
     assert _fano_bound(0.25) == 0.0
 
 
@@ -308,8 +320,8 @@ def test_fano_lower_bound_on_model_channels(settings_list):
 
 
 def test_reported_point_containment():
-    lo = cap.channel_capacity(cap.bound_lower_4(0.948)).capacity_bits
-    hi = cap.channel_capacity(cap.bound_upper_4(0.948)).capacity_bits
+    lo = cap.channel_capacity(cap.bound_channel(4, "lower", 0.948)).capacity_bits
+    hi = cap.channel_capacity(cap.bound_channel(4, "upper", 0.948)).capacity_bits
     assert lo <= 1.630 <= hi
     assert abs(lo - 1.6227) < 1e-4
 

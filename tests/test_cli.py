@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import csv
 import importlib
+import io
 import json
 import math
 import os
@@ -134,11 +136,15 @@ def test_simulate_bad_params_file(capsys, tmp_path):
     ("--scenario", "active = source-spin, gremlins\n",
      "line 1: active: unknown imperfection groups ['gremlins']; valid groups: "
      "['source-spin', 'source-orbit', 'pbs-crosstalk', 'accidentals']"),
+    ("--scenario", "iterations = 3\nseed = 18446744073709551616\n",
+     "line 2: seed: seed must lie in [-9223372036854775808, 18446744073709551615], "
+     "got 18446744073709551616"),
 ], ids=["params-nan", "params-inf-phase", "params-repeat", "scenario-inf-sigma",
         "scenario-inf-mean", "scenario-nan-mean", "scenario-repeat",
         "scenario-bad-int", "params-range", "params-accidentals-range",
         "scenario-negative-sigma", "scenario-zero-iterations",
-        "scenario-huge-iterations", "scenario-unknown-group"])
+        "scenario-huge-iterations", "scenario-unknown-group",
+        "scenario-huge-seed"])
 def test_bad_numbers_and_repeated_keys_name_file_and_line(capsys, tmp_path,
                                                           option, text, message):
     path = tmp_path / "input.txt"
@@ -342,6 +348,29 @@ def test_montecarlo_builtin_deterministic(capsys):
     assert doc["results"][0]["scenario"]["seed"] == 42
     assert doc["results"][0]["scenario"]["name"] == "all"
     assert "budget" not in doc
+
+
+def test_montecarlo_seed_outside_the_key_range_is_rejected(capsys):
+    # 2**64 keys Philox like seed 0; it used to print seed 0's rows silently
+    for seed in ("18446744073709551616", str(2**70), str(-2**63 - 1)):
+        rc, out, err = run_cli(capsys, "montecarlo", "--builtin", "all",
+                               "--seed", seed, "--format", "csv")
+        assert (rc, out) == (2, "")
+        assert err == ("error: seed must lie in [-9223372036854775808, "
+                       f"18446744073709551615], got {seed}\n")
+
+
+def test_montecarlo_csv_quotes_a_name_with_commas(capsys, tmp_path):
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text('name = spin, then "orbit"\nactive = source-spin\n'
+                        "iterations = 3\n")
+    rc, out, _ = run_cli(capsys, "montecarlo", "--scenario", str(scenario),
+                         "--format", "csv")
+    assert rc == 0
+    header, row = csv.reader(io.StringIO(out))
+    assert len(header) == len(row) == 6
+    assert row[0] == 'spin, then "orbit"'
+    assert float(row[3]) == mc.run(mc.load_scenario(scenario)).capacity_mean
 
 
 def test_montecarlo_full_budget(capsys):

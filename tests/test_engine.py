@@ -25,11 +25,8 @@ from hypothesis import strategies as st
 from hyperdense import montecarlo as mc
 from hyperdense.capacity import (
     average_success,
+    bound_channel,
     bound_curve,
-    bound_lower_3,
-    bound_lower_4,
-    bound_upper_3,
-    bound_upper_4,
     channel_capacity,
     channel_capacity_stack,
 )
@@ -133,13 +130,12 @@ def test_stacked_capacities_of_random_channels():
 
 
 def test_bound_curves_match_oracle():
-    for (encoding, which), fn in {(4, "lower"): bound_lower_4,
-                                  (4, "upper"): bound_upper_4,
-                                  (3, "lower"): bound_lower_3,
-                                  (3, "upper"): bound_upper_3}.items():
-        curve = bound_curve(encoding, which, resolution=50)
-        for p_s, c in curve:
-            assert c == blahut_arimoto(fn(p_s).probabilities)[0]
+    for encoding in (4, 3):
+        for which in ("lower", "upper"):
+            curve = bound_curve(encoding, which, resolution=50)
+            for p_s, c in curve:
+                channel = bound_channel(encoding, which, p_s).probabilities
+                assert c == blahut_arimoto(channel)[0]
 
 
 def _reference_draw(scenario: mc.McScenario, i: int) -> dict:

@@ -120,6 +120,19 @@ def test_iterations_have_an_upper_limit():
         mc.parse_scenario_text("name = huge\niterations = 100000000000\n")
 
 
+def test_seed_must_lie_in_the_philox_key_range():
+    # Philox is keyed by the seed mod 2**64, so a wider seed would alias
+    # another seed's stream
+    for seed in (-2**63, -1, 0, 2**64 - 1):
+        assert mc.McScenario("ok", seed=seed).seed == seed
+    for seed in (-2**63 - 1, 2**64, 2**70):
+        with pytest.raises(ValueError, match=r"seed must lie in \[-9223372036854775808, "
+                                             r"18446744073709551615\], got"):
+            mc.McScenario("bad", seed=seed)
+    with pytest.raises(ValueError, match="line 2: seed: seed must lie in"):
+        mc.parse_scenario_text("name = wide\nseed = 18446744073709551616\n")
+
+
 def test_zero_sigma_run_matches_deterministic_point():
     dists = {
         "source.eps_theta_spin_deg": mc.ParamDistribution(1.0),
@@ -258,6 +271,12 @@ source.lambda_orbit.mean = 0.02
     d = s.distributions["source.eps_theta_spin_deg"]
     assert (d.mean, d.sigma) == (1.5, 0.25)
     assert s.distributions["source.lambda_orbit"].sigma == 0.0
+
+    # a sigma without a mean is centred on the knob's default, not on 0
+    s = mc.parse_scenario_text("active = accidentals\n"
+                               "accidentals.fraction.sigma = 0.001\n")
+    d = s.distributions["accidentals.fraction"]
+    assert (d.mean, d.sigma) == (mc.DEFAULT_ACCIDENTAL_FRACTION, 0.001)
 
 
 def test_parse_scenario_text_errors():
