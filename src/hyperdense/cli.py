@@ -142,6 +142,16 @@ def _write_output(text: str, out) -> None:
         sys.stdout.write(text)
 
 
+def _capacity(t) -> cap.CapacityResult:
+    """channel_capacity of t; an uncertified result is reported on stderr."""
+    result = cap.channel_capacity(t)
+    if not result.converged:
+        print(f"warning: capacity not certified: Blahut-Arimoto stopped at "
+              f"{result.iterations} iterations with the bracket still "
+              f"{result.gap_bits:.3g} bits wide", file=sys.stderr)
+    return result
+
+
 # --- simulate ----------------------------------------------------------------
 
 def _cmd_simulate(args) -> str:
@@ -151,7 +161,7 @@ def _cmd_simulate(args) -> str:
     t = optics.transfer_matrix(source, gate)
     if accidentals.fraction > 0.0:
         t = optics.apply_accidentals(t, accidentals)
-    result = cap.channel_capacity(t)
+    result = _capacity(t)
     success = cap.average_success(t)
     if args.format == "json":
         return _json_text({
@@ -178,7 +188,7 @@ def _cmd_analyze(args) -> str:
     snrs = cap.snr_per_message(counts)
     uniform = np.full(4, 0.25)
     mi_uniform = cap.mutual_information(uniform, t)
-    result = cap.channel_capacity(t)
+    result = _capacity(t)
     if args.format == "json":
         return _json_text({
             "probabilities": optics.to_json_dict(t),

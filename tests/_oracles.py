@@ -40,6 +40,31 @@ def split_channel_capacity_3(p_s: float) -> float:
     return np.log2(1.0 + 2.0 ** (1.0 - binary_entropy(1.5 * (1.0 - p_s))))
 
 
+def binary_channel_capacity(p: np.ndarray) -> float:
+    """Closed-form capacity of a nonsingular 2x2 channel p[y, x] in bits.
+
+    With H(x) the entropy of row p(. | x), solve sum_y p(y | x) b(y) =
+    -H(x); then C = log2 sum_y 2^b(y), the square-channel formula
+    (Muroga 1953), whose optimal input is interior for every such channel.
+    """
+    w = np.asarray(p, dtype=float).T
+    h = -np.sum(np.where(w > 0.0, w * np.log2(np.where(w > 0.0, w, 1.0)), 0.0),
+                axis=1)
+    return float(np.log2(np.sum(2.0 ** np.linalg.solve(w, -h))))
+
+
+def divergences(px: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """D(x) = sum_y p(y|x) log2(p(y|x) / q(y)) in bits, q = output of px.
+
+    The bracket of a capacity solve is sum_x px(x) D(x) <= C <= max_x D(x).
+    """
+    w = np.asarray(p, dtype=float).T
+    q = np.asarray(px, dtype=float) @ w
+    with np.errstate(divide="ignore"):
+        return np.where(w > 0.0, w * np.log2(np.where(w > 0.0, w, 1.0) / q),
+                        0.0).sum(axis=1)
+
+
 def simplex_grid(n: int, steps: int) -> np.ndarray:
     """All probability vectors of length n on a 1/steps grid, times steps.
 
@@ -79,7 +104,7 @@ def blahut_arimoto(p: np.ndarray, tol_bits: float = 1e-10,
     Returns (capacity_bits, input_distribution, iterations, converged).
     Iterates r(x) -> r(x) exp(D(x)) / norm, D(x) = sum_y p(y|x) ln(p(y|x)
     / q(y)), until max_x D(x) - sum_x r(x) D(x) < tol_bits; if the cap is
-    hit first the last lower bound and the updated r are returned.
+    hit first the last lower bound and the r it was computed at are returned.
     """
     w = np.asarray(p, dtype=float).T
     n = w.shape[0]
@@ -100,6 +125,8 @@ def blahut_arimoto(p: np.ndarray, tol_bits: float = 1e-10,
         i_up = float(d.max())
         if i_up - i_low < tol_nats:
             converged = True
+            break
+        if iterations == max_iterations:
             break
         r = r * np.exp(d - d.max())
         r /= r.sum()

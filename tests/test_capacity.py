@@ -13,7 +13,9 @@ from hyperdense.optics import AccidentalModel, GateParams, TransferMatrix
 from hyperdense.states import SourceParams, build_source_stack
 
 from _oracles import (
+    binary_channel_capacity,
     binary_entropy,
+    divergences,
     grid_capacity,
     random_channel,
     split_channel_capacity_3,
@@ -56,9 +58,15 @@ def test_raw_channels_are_checked():
                                    {"tol_bits": math.nan},
                                    {"tol_bits": math.inf},
                                    {"tol_bits": 0.0},
-                                   {"tol_bits": -1.0}],
+                                   {"tol_bits": -1.0},
+                                   {"max_iterations": 2.5},
+                                   {"max_iterations": 3.0},
+                                   {"max_iterations": True},
+                                   {"tol_bits": True}],
                          ids=["zero-iterations", "negative-iterations", "nan-tol",
-                              "inf-tol", "zero-tol", "negative-tol"])
+                              "inf-tol", "zero-tol", "negative-tol",
+                              "fractional-iterations", "float-iterations",
+                              "bool-iterations", "bool-tol"])
 def test_solver_knobs_are_checked(knobs):
     with pytest.raises(ValueError, match="tol_bits must be finite and positive"):
         cap.channel_capacity(np.eye(4), **knobs)
@@ -160,6 +168,31 @@ def test_capacity_iteration_cap_flags_nonconvergence():
     assert not result.converged
     assert result.iterations == 1
     assert result.capacity_bits <= cap.channel_capacity(t).capacity_bits + 1e-12
+
+
+def test_capped_solve_returns_the_point_it_reports():
+    # at the cap, capacity_bits is I at input_distribution and gap_bits its
+    # bracket, within the warm-up and after relaxed steps began
+    rng = np.random.default_rng(5)
+    p = rng.random((4, 4)) ** 3
+    p /= p.sum(axis=0, keepdims=True)
+    for max_iterations in (3, cap.WARM_UP + 1, cap.WARM_UP + 2):
+        result = cap.channel_capacity(p, tol_bits=1e-14, max_iterations=max_iterations)
+        assert not result.converged
+        got = cap.mutual_information(result.input_distribution, p)
+        assert abs(got - result.capacity_bits) < 1e-12
+        upper = divergences(result.input_distribution, p).max()
+        assert abs(upper - result.capacity_bits - result.gap_bits) < 1e-12
+
+
+def test_nearly_useless_binary_channels_converge():
+    # C = 2.4e-5 and 4.7e-5 bits; the plain loop stops unconverged at the
+    # default 100,000-iteration cap on both
+    for seed in (0, 23):
+        p = random_channel(np.random.default_rng(seed), 2)
+        result = cap.channel_capacity(p)
+        assert result.converged
+        assert abs(result.capacity_bits - binary_channel_capacity(p)) < 1e-10
 
 
 def test_average_success():

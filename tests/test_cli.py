@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import hyperdense
-from hyperdense import cli, optics, states
+from hyperdense import capacity, cli, optics, states
 from hyperdense import montecarlo as mc
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -289,6 +289,37 @@ def test_output_is_byte_pinned(capsys, tmp_path, argv):
                                      for a in argv.split()))
     assert (rc, err) == (0, "")
     assert out == GOLDEN_OUTPUTS[argv]
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+def test_uncertified_capacity_is_reported_on_stderr(capsys, monkeypatch, tmp_path,
+                                                    command):
+    params = tmp_path / "params.txt"
+    params.write_text("gate.eps_H = 0.05\ngate.phi1_deg = 20\n")
+    counts = tmp_path / "counts.csv"
+    header, *rows = make_counts_csv(signal=500, noise=0).splitlines()
+    # unequal noise per row, so the solve does not close on its first pass
+    counts.write_text("\n".join([header] + [row.replace(",0", f",{5 * k * k}")
+                                           for k, row in enumerate(rows, 1)]) + "\n")
+    argv = ([command, "--params", str(params)] if command == "simulate"
+            else [command, str(counts)]) + ["--format", "json"]
+    rc, certified, err = run_cli(capsys, *argv)
+    assert (rc, err) == (0, "")
+
+    solve, results = capacity.channel_capacity, []
+
+    def capped(t):
+        results.append(solve(t, tol_bits=1e-14, max_iterations=2))
+        return results[-1]
+
+    monkeypatch.setattr(capacity, "channel_capacity", capped)
+    rc, out, err = run_cli(capsys, *argv)
+    [result] = results
+    assert (rc, result.converged) == (0, False)
+    assert err == (f"warning: capacity not certified: Blahut-Arimoto stopped at 2 "
+                   f"iterations with the bracket still {result.gap_bits:.3g} bits wide\n")
+    assert json.loads(out)["capacity_bits"] == result.capacity_bits
+    assert json.loads(out).keys() == json.loads(certified).keys()
 
 
 def test_bounds_resolution_has_an_upper_limit(capsys, monkeypatch):
