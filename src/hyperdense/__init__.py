@@ -11,7 +11,6 @@ uncertainties by Monte Carlo.
 
 Modules:
 
-* linalg     - small dense complex linear algebra, entanglement metrics
 * states     - source construction, message encoding, Bell decomposition
 * optics     - analyzer model, transfer matrices, accidentals
 * capacity   - mutual information, Blahut-Arimoto capacity, bound curves
@@ -29,14 +28,6 @@ from .capacity import (
     channel_capacity,
     mutual_information,
     snr_per_message,
-)
-from .linalg import (
-    concurrence,
-    fidelity_with_pure,
-    linear_entropy,
-    purity,
-    tangle,
-    tensor_product,
 )
 from .montecarlo import (
     BudgetReport,
@@ -67,10 +58,8 @@ from .states import (
     SourceParams,
     SpinOrbitBellLabel,
     build_source,
-    depolarize,
     encode,
     encoded_ket,
-    fit_model_params,
     ideal_source,
     model_orbit_state,
     model_spin_state,
@@ -100,31 +89,23 @@ __all__ = [
     "build_source",
     "builtin_scenario",
     "channel_capacity",
-    "concurrence",
     "default_scenarios",
-    "depolarize",
     "detection_projectors",
     "encode",
     "encoded_ket",
-    "fidelity_with_pure",
-    "fit_model_params",
     "hologram_map",
     "ideal_source",
-    "linear_entropy",
     "load_scenario",
     "model_orbit_state",
     "model_spin_state",
     "mutual_information",
     "naive_budget_check",
     "pbs_matrix",
-    "purity",
     "run",
     "sample_params",
     "signature_map",
     "snr_per_message",
     "spin_orbit_decompose",
-    "tangle",
-    "tensor_product",
     "transfer_matrix",
     "two_photon_gate",
     "__version__",

@@ -253,6 +253,11 @@ def _cmd_montecarlo(args) -> str:
     if args.seed is not None:
         scenarios = [dataclasses.replace(s, seed=args.seed) for s in scenarios]
     results = [mc.run(s, jobs=args.jobs) for s in scenarios]
+    for r in results:
+        if r.uncertified:
+            print(f"warning: capacity not certified for {r.uncertified} of "
+                  f"{r.iterations} draws of scenario {r.scenario.name!r}: "
+                  f"Blahut-Arimoto stopped at its iteration cap", file=sys.stderr)
     budget = None
     if args.builtin == "full":
         budget = mc.naive_budget_check(results[:-1], results[-1])

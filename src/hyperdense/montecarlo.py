@@ -316,11 +316,16 @@ def sample_params(scenario: McScenario, iteration_index: int) -> ImperfectionPar
 
 @dataclass(frozen=True)
 class McResult:
-    """Capacity and success probability of every draw of one scenario."""
+    """Capacity and success probability of every draw of one scenario.
+
+    ``uncertified`` counts the draws whose capacity solve stopped at the
+    iteration cap before its bracket closed.
+    """
 
     scenario: McScenario
     capacity_bits: np.ndarray
     success_probability: np.ndarray
+    uncertified: int
 
     @property
     def iterations(self) -> int:
@@ -364,6 +369,7 @@ def run(scenario: McScenario, jobs: int = 1) -> McResult:
     n = scenario.iterations
     caps = np.empty(n)
     succ = np.empty(n)
+    uncertified = 0
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
         c = _sample_columns(scenario, start, stop)
@@ -376,10 +382,12 @@ def run(scenario: McScenario, jobs: int = 1) -> McResult:
             # optics.apply_accidentals, per draw
             f = c["accidental_fraction"][:, None, None]
             p = (1.0 - f) * p + f / p.shape[1]
-        caps[start:stop] = channel_capacity_stack(p)[0]
+        bits, _, _, converged, _ = channel_capacity_stack(p)
+        caps[start:stop] = bits
+        uncertified += int(np.count_nonzero(~converged))
         succ[start:stop] = np.diagonal(p, axis1=1, axis2=2).mean(axis=1)
     return McResult(scenario=scenario, capacity_bits=caps,
-                    success_probability=succ)
+                    success_probability=succ, uncertified=uncertified)
 
 
 @dataclass(frozen=True)

@@ -39,8 +39,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .linalg import tensor_product, validate_density_matrix
-
 _PAULI_I = np.eye(2, dtype=complex)
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -157,15 +155,6 @@ def model_orbit_state(eps_theta: float, eps_phi: float) -> np.ndarray:
     return _model_kets("orbit", [eps_theta], [eps_phi])[0]
 
 
-def depolarize(rho: np.ndarray, lam: float) -> np.ndarray:
-    """White-noise channel (1-lam)*rho + lam*I/d, trace preserving."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"depolarization weight must lie in [0, 1], got {lam}")
-    rho = np.asarray(rho, dtype=complex)
-    d = rho.shape[0]
-    return (1.0 - lam) * rho + lam * np.eye(d, dtype=complex) / d
-
-
 def _interleave_ket(psi: np.ndarray) -> np.ndarray:
     # (s1, s2, o1, o2) -> (s1, o1, s2, o2)
     return psi.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(16)
@@ -188,7 +177,7 @@ def build_source(params: SourceParams) -> np.ndarray:
 
 
 def _pair_density_stack(which: str, eps_theta, eps_phi, lam) -> np.ndarray:
-    # depolarize(density_from_ket(ket), lam) for each row of _model_kets
+    # white noise (1 - lam)|psi><psi| + lam I/4 for each row of _model_kets
     psi = _model_kets(which, eps_theta, eps_phi)
     lam = np.asarray(lam, dtype=float)[:, None, None]
     rho = (1.0 - lam) * (psi[:, :, None] * psi[:, None, :].conj())
@@ -222,8 +211,8 @@ _ENCODING_OPS = {
 def encoding_operator(message: Message) -> np.ndarray:
     """16x16 unitary the sender applies: a Pauli on photon-2 spin only."""
     pauli = _ENCODING_OPS[Message(message)]
-    return tensor_product(np.eye(4, dtype=complex),
-                          tensor_product(pauli, np.eye(2, dtype=complex)))
+    return np.kron(np.eye(4, dtype=complex),
+                   np.kron(pauli, np.eye(2, dtype=complex)))
 
 
 def encode(rho: np.ndarray, message: Message) -> np.ndarray:
@@ -234,14 +223,9 @@ def encode(rho: np.ndarray, message: Message) -> np.ndarray:
 
 def encoded_ket(message: Message) -> np.ndarray:
     """Pure state the receiver sees when `message` rides the ideal source."""
-    ideal = _interleave_ket(tensor_product(model_spin_state(0.0, 0.0),
-                                           model_orbit_state(0.0, 0.0)))
+    ideal = _interleave_ket(np.kron(model_spin_state(0.0, 0.0),
+                                    model_orbit_state(0.0, 0.0)))
     return encoding_operator(message) @ ideal
-
-
-def spin_orbit_bell_ket(label: SpinOrbitBellLabel) -> np.ndarray:
-    """Single-photon spin-orbit Bell ket in the (Hl, Hr, Vl, Vr) basis."""
-    return _BELL_KETS[SpinOrbitBellLabel(label)].copy()
 
 
 def bell_pair_ket(label1: SpinOrbitBellLabel,
@@ -291,100 +275,3 @@ def signature_map(message: Message) -> frozenset:
     return frozenset(pair for pair, m in zip(BELL_PAIRS, PAIR_MESSAGES)
                      if m == message)
 
-
-# --- model fitting ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class FitResult:
-    """Fitted model parameters, the fidelity reached and whether it converged."""
-
-    eps_theta: float
-    eps_phi: float
-    lam: float
-    fidelity: float
-    converged: bool
-
-
-def _mixed_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    # Uhlmann fidelity as the squared nuclear norm of sqrt(rho) sqrt(sigma).
-    # Eigenvalues below 1e-14 of the largest are rounding noise on zeros;
-    # their square roots (~1e-8) would lift the fidelity of pure states above 1.
-    w, v = np.linalg.eigh(np.stack([rho, sigma]))
-    w[w < 1e-14 * w[:, -1:]] = 0.0
-    roots = (v * np.sqrt(w)[:, None, :]) @ np.swapaxes(v.conj(), 1, 2)
-    return float(np.linalg.svd(roots[0] @ roots[1], compute_uv=False).sum() ** 2)
-
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(f, lo: float, hi: float) -> tuple:
-    """(x, f(x)) at the maximum of a unimodal f on [lo, hi], to 1e-10 in x."""
-    c, d = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > 1e-10:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = f(d)
-    return (c, fc) if fc >= fd else (d, fd)
-
-
-def fit_model_params(rho: np.ndarray, which: str = "spin") -> FitResult:
-    """Fit (eps_theta, eps_phi, lam) of the depolarized model to a 4x4 state.
-
-    rho is the (4, 4) density matrix of a spin or orbit photon pair, and
-    which ("spin" or "orbit") selects the model ket family.  The fit
-    maximizes the fidelity between depolarize(|model>, lam) and rho.  It
-    starts from the top eigenpair (w, v) of rho, exact on model states:
-    lam = 4(1 - w)/3, and the angles come from v's entries in the model
-    subspace.  Cyclic golden-section searches over eps_theta in
-    [-pi/4, pi/4], eps_phi within pi of its current value and lam in
-    [0, 1] refine it until a sweep no longer raises the fidelity;
-    converged is False if that takes over 100 sweeps.  eps_phi is wrapped
-    into (-pi, pi], and reported as 0 when lam is within 1e-6 of 1, where
-    the phase is unidentifiable.
-    """
-    rho = validate_density_matrix(rho)
-    if rho.shape != (4, 4):
-        raise ValueError(f"fit expects a 4x4 state, got shape {rho.shape}")
-    if which not in _PAIR_MODELS:
-        raise ValueError(f"which must be 'spin' or 'orbit', got {which!r}")
-    first, last, sign = _PAIR_MODELS[which]
-
-    w, v = np.linalg.eigh(rho)
-    top = v[:, -1]
-    x = [math.atan2(abs(top[last]), abs(top[first])) - math.pi / 4.0,
-         float(np.angle(sign * top[last] * np.conj(top[first]))),
-         float(min(max(4.0 * (1.0 - w[-1]) / 3.0, 0.0), 1.0))]
-
-    def fidelity_at(y):
-        sigma = _pair_density_stack(which, [y[0]], [y[1]], [y[2]])
-        return _mixed_fidelity(rho, sigma[0])
-
-    best = fidelity_at(x)
-    for _ in range(100):
-        previous = best
-        intervals = ((-math.pi / 4.0, math.pi / 4.0),
-                     (x[1] - math.pi, x[1] + math.pi), (0.0, 1.0))
-        for i, (lo, hi) in enumerate(intervals):
-            t, f = _golden_max(
-                lambda t: fidelity_at(x[:i] + [t] + x[i + 1:]), lo, hi)
-            if f > best:
-                x[i], best = t, f
-        if best <= previous:
-            break
-    converged = best <= previous
-
-    eps_theta, eps_phi, lam = x
-    eps_phi = math.remainder(eps_phi, 2.0 * math.pi)
-    if eps_phi <= -math.pi:
-        eps_phi = math.pi
-    if 1.0 - lam < 1e-6:
-        eps_phi = 0.0
-    return FitResult(eps_theta=eps_theta, eps_phi=eps_phi, lam=lam,
-                     fidelity=best, converged=converged)

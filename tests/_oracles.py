@@ -213,47 +213,40 @@ def analyzer_unitary(eps_H: float, eps_V: float, phi1: float,
     return pbs @ np.diag([1.0, -1.0, 1.0, -1.0])
 
 
-def uhlmann_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """(Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 via eigendecompositions."""
-    w, v = np.linalg.eigh(rho)
-    w = np.clip(w, 0.0, None)
-    sqrt_rho = (v * np.sqrt(w)) @ v.conj().T
-    inner = np.linalg.eigvalsh(sqrt_rho @ sigma @ sqrt_rho)
-    inner = np.clip(inner, 0.0, None)
-    return float(np.sum(np.sqrt(inner)) ** 2)
+def check_density(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """Assert rho is hermitian with unit trace and no eigenvalue below
+    -1e-9; return it as a complex array."""
+    rho = np.asarray(rho, dtype=complex)
+    assert np.max(np.abs(rho - rho.conj().T)) <= tol
+    assert abs(np.trace(rho) - 1.0) <= tol
+    assert np.linalg.eigvalsh(rho).min() >= -1e-9
+    return rho
 
 
-def fit_model_params_nelder_mead(rho: np.ndarray, which: str = "spin") -> tuple:
-    """Reference source fit: (eps_theta, eps_phi, lam) of pair_model_density.
+def purity(rho: np.ndarray) -> float:
+    """Tr(rho^2)."""
+    return float(np.trace(rho @ rho).real)
 
-    Maximizes uhlmann_fidelity with bounded Nelder-Mead, restarted from
-    a coarse 3x3x3 grid in addition to the start (0, 0, 0.01), and keeps
-    the best of the 28 runs.  eps_phi is wrapped into (-pi, pi] and
-    reported as 0 when lam is within 1e-6 of 1.  Needs scipy.
+
+def linear_entropy(rho: np.ndarray) -> float:
+    """(d/(d-1)) (1 - Tr(rho^2)): 0 for pure states, 1 for the fully mixed one."""
+    d = rho.shape[0]
+    return d / (d - 1) * (1.0 - purity(rho))
+
+
+def tangle(rho: np.ndarray) -> float:
+    """Two-qubit tangle: the square of Wootters' concurrence.
+
+    The concurrence is max(0, l1 - l2 - l3 - l4), with l_i the square
+    roots, largest first, of the eigenvalues of rho (Y x Y) rho* (Y x Y),
+    taken here as those of the hermitian sqrt(rho) (Y x Y) rho* (Y x Y)
+    sqrt(rho), which has the same spectrum.
     """
-    from scipy.optimize import minimize
-
-    def negative_fidelity(x):
-        return -uhlmann_fidelity(rho, pair_model_density(which, *x))
-
-    bounds = [(-np.pi / 4, np.pi / 4), (-np.pi, np.pi), (0.0, 1.0)]
-    starts = [(0.0, 0.0, 0.01)]
-    starts += list(itertools.product((-0.15, 0.0, 0.15), (-2.0, 0.0, 2.0),
-                                     (0.05, 0.45, 0.9)))
-    best = None
-    for x0 in starts:
-        res = minimize(negative_fidelity, x0, method="Nelder-Mead",
-                       bounds=bounds,
-                       options={"xatol": 1e-7, "fatol": 1e-10,
-                                "maxiter": 4000})
-        if best is None or res.fun < best.fun:
-            best = res
-
-    eps_theta, eps_phi, lam = best.x
-    lam = min(max(lam, 0.0), 1.0)
-    eps_phi = math.remainder(eps_phi, 2.0 * math.pi)
-    if eps_phi <= -math.pi:
-        eps_phi = math.pi
-    if 1.0 - lam < 1e-6:
-        eps_phi = 0.0
-    return float(eps_theta), float(eps_phi), float(lam)
+    rho = np.asarray(rho, dtype=complex)
+    w, v = np.linalg.eigh(rho)
+    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    yy = np.kron([[0.0, -1.0j], [1.0j, 0.0]], [[0.0, -1.0j], [1.0j, 0.0]])
+    flipped = yy @ rho.conj() @ yy
+    roots = np.sqrt(np.clip(np.linalg.eigvalsh(sqrt_rho @ flipped @ sqrt_rho),
+                            0.0, None))[::-1]
+    return max(0.0, roots[0] - roots[1] - roots[2] - roots[3]) ** 2

@@ -405,15 +405,16 @@ def test_montecarlo_csv_quotes_a_name_with_commas(capsys, tmp_path):
 
 
 def test_montecarlo_full_budget(capsys):
-    rc, out, _ = run_cli(capsys, "montecarlo", "--builtin", "full")
-    assert rc == 0
+    rc, out, err = run_cli(capsys, "montecarlo", "--builtin", "full")
+    assert (rc, err) == (0, "")
     for name in ("spin", "orbit", "crosstalk", "accidentals", "all"):
         assert name in out
     assert "naive budget" in out
     assert "joint simulation" in out
 
-    rc, out, _ = run_cli(capsys, "montecarlo", "--builtin", "full",
-                         "--format", "json")
+    rc, out, err = run_cli(capsys, "montecarlo", "--builtin", "full",
+                           "--format", "json")
+    assert (rc, err) == (0, "")
     doc = json.loads(out)
     assert len(doc["results"]) == 5
     budget = doc["budget"]
@@ -421,11 +422,33 @@ def test_montecarlo_full_budget(capsys):
     assert abs(budget["joint_capacity_bits"] - 1.644999250827791) < 1e-12
     assert abs(budget["discrepancy_bits"] - 0.06529336517783535) < 1e-12
 
-    rc, out, _ = run_cli(capsys, "montecarlo", "--builtin", "full",
-                         "--format", "csv")
+    rc, out, err = run_cli(capsys, "montecarlo", "--builtin", "full",
+                           "--format", "csv")
+    assert (rc, err) == (0, "")
     lines = out.strip().splitlines()
     assert lines[0].startswith("scenario,success_mean")
     assert len(lines) == 6
+
+
+def test_uncertified_montecarlo_draws_are_reported_on_stderr(capsys, tmp_path):
+    # Every knob active with wide sigmas.  Draw 8 of seed 1 is a channel of
+    # about 2e-6 bits, whose solve stops at the 100,000-iteration cap.
+    lines = ["name = wide", "iterations = 9", "seed = 1",
+             "active = " + ", ".join(mc.IMPERFECTION_GROUPS)]
+    for p in mc.PARAMS:
+        if p.key.endswith("_deg"):
+            lines.append(f"{p.key}.sigma = {40 if 'theta' in p.key else 120}")
+        else:
+            lines += [f"{p.key}.mean = 0.5", f"{p.key}.sigma = 0.4"]
+    scenario = tmp_path / "wide.txt"
+    scenario.write_text("\n".join(lines) + "\n")
+    rc, out, err = run_cli(capsys, "montecarlo", "--scenario", str(scenario),
+                           "--format", "json")
+    assert rc == 0
+    assert err == ("warning: capacity not certified for 1 of 9 draws of "
+                   "scenario 'wide': Blahut-Arimoto stopped at its iteration cap\n")
+    bits = json.loads(out)["results"][0]["iterations_detail"]["capacity_bits"]
+    assert 0.0 < bits[8] < 1e-5
 
 
 def test_montecarlo_scenario_file(capsys, tmp_path):

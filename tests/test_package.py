@@ -10,7 +10,7 @@ from pathlib import Path
 
 from hyperdense import montecarlo as mc
 
-MODULES = ("linalg", "states", "optics", "capacity", "montecarlo", "cli")
+MODULES = ("states", "optics", "capacity", "montecarlo", "cli")
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 README = Path(__file__).resolve().parents[1] / "README.md"
 

@@ -4,18 +4,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from hyperdense import linalg, states
+from hyperdense import states
 from hyperdense.states import Message, SpinOrbitBellLabel
 
 from _oracles import (
-    fit_model_params_nelder_mead,
+    check_density,
+    linear_entropy,
     orbit_marginal,
-    random_density,
+    pair_model_density,
+    purity,
     random_ket,
     spin_marginal,
+    tangle,
 )
 
 _DEG = math.pi / 180.0
@@ -39,12 +40,11 @@ def test_spin_orbit_bell_kets():
         SpinOrbitBellLabel.PSI_MINUS: [0, 1, -1, 0],
     }
     for label, amps in want.items():
-        ket = states.spin_orbit_bell_ket(label)
+        ket = states._BELL_KETS[label]
         assert np.allclose(ket, np.array(amps) / _SQRT2, atol=1e-15)
     for a in states.BELL_LABELS:
         for b in states.BELL_LABELS:
-            overlap = np.vdot(states.spin_orbit_bell_ket(a),
-                              states.spin_orbit_bell_ket(b))
+            overlap = np.vdot(states._BELL_KETS[a], states._BELL_KETS[b])
             assert abs(overlap - (1.0 if a == b else 0.0)) < 1e-15
 
 
@@ -77,17 +77,6 @@ def test_model_orbit_state():
     )
 
 
-def test_depolarize():
-    bell = linalg.density_from_ket(states.model_spin_state(0.0, 0.0))
-    assert np.array_equal(states.depolarize(bell, 0.0), bell)
-    assert np.allclose(states.depolarize(bell, 1.0), np.eye(4) / 4.0, atol=1e-15)
-    assert abs(linalg.linear_entropy(states.depolarize(bell, 0.010)) - 0.0199) < 1e-12
-    with pytest.raises(ValueError):
-        states.depolarize(bell, 1.3)
-    with pytest.raises(ValueError):
-        states.depolarize(bell, -0.1)
-
-
 def test_source_params_validation():
     with pytest.raises(ValueError):
         states.SourceParams(lambda_spin=-0.2)
@@ -99,8 +88,8 @@ def test_source_params_validation():
 
 def test_ideal_source():
     rho = states.ideal_source()
-    linalg.validate_density_matrix(rho)
-    assert abs(linalg.purity(rho) - 1.0) < 1e-12
+    check_density(rho)
+    assert abs(purity(rho) - 1.0) < 1e-12
     # (|HH> - |VV>)/sqrt2 x (|lr> + |rl>)/sqrt2 in subsystem order
     # (spin1, orbit1, spin2, orbit2); |H l H r> sits at index 1
     want = np.zeros(16, dtype=complex)
@@ -108,7 +97,7 @@ def test_ideal_source():
     want[0b0100] = 0.5   # H r H l
     want[0b1011] = -0.5  # V l V r
     want[0b1110] = -0.5  # V r V l
-    assert abs(linalg.fidelity_with_pure(rho, want) - 1.0) < 1e-12
+    assert abs(np.vdot(want, rho @ want).real - 1.0) < 1e-12
     ket = states.encoded_ket(Message.PHI_MINUS)
     assert abs(ket[1] - 0.5) < 1e-15
 
@@ -122,24 +111,21 @@ def test_build_source_marginals():
     spin_only = states.build_source(states.SourceParams(
         eps_theta_spin=1.0 * _DEG, lambda_spin=0.010))
     spin = spin_marginal(spin_only)
-    assert abs(linalg.tangle(spin) - 0.9690372936423481) < 1e-9
+    assert abs(tangle(spin) - 0.9690372936423481) < 1e-9
     assert np.allclose(orbit_marginal(spin_only),
-                       linalg.density_from_ket(states.model_orbit_state(0, 0)),
-                       atol=1e-12)
+                       pair_model_density("orbit", 0.0, 0.0, 0.0), atol=1e-12)
 
     orbit_only = states.build_source(states.SourceParams(
         eps_theta_orbit=1.7 * _DEG, lambda_orbit=0.03))
     orbit = orbit_marginal(orbit_only)
-    assert abs(linalg.linear_entropy(orbit) - 0.0591) < 1e-12
+    assert abs(linear_entropy(orbit) - 0.0591) < 1e-12
 
     # marginals reproduce the depolarized pair models directly
     both = states.build_source(states.SourceParams(
         eps_theta_spin=1.0 * _DEG, eps_phi_spin=0.2, lambda_spin=0.010,
         eps_theta_orbit=1.7 * _DEG, eps_phi_orbit=-0.4, lambda_orbit=0.03))
-    want_spin = states.depolarize(
-        linalg.density_from_ket(states.model_spin_state(1.0 * _DEG, 0.2)), 0.010)
-    want_orbit = states.depolarize(
-        linalg.density_from_ket(states.model_orbit_state(1.7 * _DEG, -0.4)), 0.03)
+    want_spin = pair_model_density("spin", 1.0 * _DEG, 0.2, 0.010)
+    want_orbit = pair_model_density("orbit", 1.7 * _DEG, -0.4, 0.03)
     assert np.allclose(spin_marginal(both), want_spin, atol=1e-12)
     assert np.allclose(orbit_marginal(both), want_orbit, atol=1e-12)
 
@@ -155,7 +141,7 @@ def test_build_source_always_valid_density():
             eps_phi_orbit=rng.uniform(-math.pi, math.pi),
             lambda_orbit=rng.uniform(0.0, 1.0),
         )
-        linalg.validate_density_matrix(states.build_source(params))
+        check_density(states.build_source(params))
 
 
 def test_encode():
@@ -165,10 +151,10 @@ def test_encode():
     # Psi+ encoding lands on the spin triplet state
     psi_plus_spin = np.zeros(4, dtype=complex)
     psi_plus_spin[1] = psi_plus_spin[2] = 1 / _SQRT2
-    want = states._interleave_ket(linalg.tensor_product(
+    want = states._interleave_ket(np.kron(
         psi_plus_spin, states.model_orbit_state(0.0, 0.0)))
     got = states.encode(ideal, Message.PSI_PLUS)
-    assert abs(linalg.fidelity_with_pure(got, want) - 1.0) < 1e-12
+    assert abs(np.vdot(want, got @ want).real - 1.0) < 1e-12
 
     twice = states.encode(states.encode(ideal, Message.PHI_PLUS), Message.PHI_PLUS)
     assert np.allclose(twice, ideal, atol=1e-12)
@@ -176,7 +162,7 @@ def test_encode():
     mixed = states.build_source(states.SourceParams(lambda_spin=0.4, lambda_orbit=0.1))
     for m in states.MESSAGES:
         out = states.encode(mixed, m)
-        assert abs(linalg.purity(out) - linalg.purity(mixed)) < 1e-12
+        assert abs(purity(out) - purity(mixed)) < 1e-12
         assert np.allclose(np.linalg.eigvalsh(out), np.linalg.eigvalsh(mixed),
                            atol=1e-10)
 
@@ -185,7 +171,7 @@ def test_encoded_ket_matches_encode():
     ideal = states.ideal_source()
     for m in states.MESSAGES:
         ket = states.encoded_ket(m)
-        assert np.allclose(linalg.density_from_ket(ket),
+        assert np.allclose(np.outer(ket, ket.conj()),
                            states.encode(ideal, m), atol=1e-12)
 
 
@@ -250,88 +236,3 @@ def test_signature_map_partitions_and_matches_decomposition():
         m = states.message_of_pair(l1, l2)
         assert (l1, l2) in states.signature_map(m)
 
-
-def test_fit_round_trip():
-    rho = states.depolarize(
-        linalg.density_from_ket(states.model_spin_state(1.0 * _DEG, 0.0)), 0.010)
-    fit = states.fit_model_params(rho, "spin")
-    assert fit.converged
-    assert abs(fit.eps_theta - 1.0 * _DEG) < 0.05 * _DEG
-    assert abs(fit.eps_phi) < 0.05 * _DEG
-    assert abs(fit.lam - 0.010) < 0.001
-    assert fit.fidelity > 0.9999
-
-
-def test_fit_orbit_with_phase():
-    rho = states.depolarize(
-        linalg.density_from_ket(states.model_orbit_state(1.7 * _DEG, 0.35)), 0.03)
-    fit = states.fit_model_params(rho, "orbit")
-    assert abs(fit.eps_theta - 1.7 * _DEG) < 0.05 * _DEG
-    assert abs(fit.eps_phi - 0.35) < 1e-3
-    assert abs(fit.lam - 0.03) < 0.001
-    assert fit.fidelity > 0.9999
-
-
-def test_fit_ideal_and_fully_mixed():
-    ideal = linalg.density_from_ket(states.model_spin_state(0.0, 0.0))
-    fit = states.fit_model_params(ideal, "spin")
-    assert abs(fit.eps_theta) < 1e-4 and abs(fit.eps_phi) < 1e-4
-    assert fit.lam < 1e-4
-    assert fit.fidelity > 0.999999
-
-    mixed = states.fit_model_params(np.eye(4) / 4.0, "spin")
-    assert mixed.lam > 0.999
-    assert mixed.eps_phi == 0.0
-
-
-_MODELS = {"spin": states.model_spin_state, "orbit": states.model_orbit_state}
-
-
-def _model_density(which, eps_theta, eps_phi, lam):
-    return states.depolarize(
-        linalg.density_from_ket(_MODELS[which](eps_theta, eps_phi)), lam)
-
-
-@pytest.mark.parametrize("which", ["spin", "orbit"])
-def test_fidelity_of_pure_model_states_is_at_most_one(which):
-    for eps_theta, eps_phi in [(0.0, 0.0), (0.05, 0.3), (0.3, -2.0),
-                               (-0.7, 3.1), (math.pi / 4, 1.0)]:
-        rho = _model_density(which, eps_theta, eps_phi, 0.0)
-        assert abs(states._mixed_fidelity(rho, rho) - 1.0) <= 1e-12
-
-
-@pytest.mark.parametrize("which", ["spin", "orbit"])
-def test_fit_recovers_exact_model_states(which):
-    for lam in [0.0, 0.01, 0.1, 0.5, 0.9, 0.99, 0.995, 0.999]:
-        fit = states.fit_model_params(_model_density(which, 0.05, 0.3, lam),
-                                      which)
-        assert fit.converged
-        assert abs(fit.eps_theta - 0.05) <= 1e-4, lam
-        assert abs(fit.eps_phi - 0.3) <= 1e-4, lam
-        assert abs(fit.lam - lam) <= 1e-6, lam
-        assert fit.fidelity >= 1.0 - 1e-12, lam
-
-
-@pytest.fixture(scope="module")
-def nelder_mead_fit():
-    pytest.importorskip("scipy")
-    return fit_model_params_nelder_mead
-
-
-@settings(max_examples=12, deadline=None)
-@given(which=st.sampled_from(["spin", "orbit"]),
-       seed=st.integers(0, 2**32 - 1),
-       near_model=st.booleans(),
-       model=st.tuples(st.floats(-math.pi / 4, math.pi / 4),
-                       st.floats(-math.pi, math.pi), st.floats(0.0, 1.0)))
-def test_fit_matches_nelder_mead_oracle(nelder_mead_fit, which, seed,
-                                        near_model, model):
-    rho = random_density(np.random.default_rng(seed), 4)
-    if near_model:
-        rho = 0.95 * _model_density(which, *model) + 0.05 * rho
-    fit = states.fit_model_params(rho, which)
-    want = states._mixed_fidelity(
-        rho, _model_density(which, *nelder_mead_fit(rho, which)))
-    got = states._mixed_fidelity(
-        rho, _model_density(which, fit.eps_theta, fit.eps_phi, fit.lam))
-    assert got >= want - 1e-9
