@@ -150,7 +150,10 @@ def channel_capacity_stack(p, tol_bits: float = 1e-10,
     if not (tol_ok and cap_ok):
         raise ValueError("tol_bits must be finite and positive and max_iterations "
                          f"at least 1, got {tol_bits!r} and {max_iterations!r}")
-    w = np.swapaxes(np.asarray(p, dtype=float), 1, 2)  # w[k, x, y] = p(y | x)
+    # w[k, x, y] = p(y | x), a view of p in C order whatever order p came in:
+    # numpy's sums and products round by memory layout, so this keeps a
+    # channel's result independent of the stack it is solved in
+    w = np.swapaxes(np.ascontiguousarray(p, dtype=float), 1, 2)
     n, m = w.shape[:2]
     # log 1 = 0 where w = 0, so those terms below are 0 * finite = 0
     log_w = np.log(np.where(w > 0.0, w, 1.0))
