@@ -47,9 +47,7 @@ from .optics import (
     TransferMatrix,
     analyzer_unitary,
     apply_accidentals,
-    detection_projectors,
     hologram_map,
-    pbs_matrix,
     transfer_matrix,
     two_photon_gate,
 )
@@ -63,7 +61,6 @@ from .states import (
     ideal_source,
     model_orbit_state,
     model_spin_state,
-    signature_map,
     spin_orbit_decompose,
 )
 
@@ -90,7 +87,6 @@ __all__ = [
     "builtin_scenario",
     "channel_capacity",
     "default_scenarios",
-    "detection_projectors",
     "encode",
     "encoded_ket",
     "hologram_map",
@@ -100,10 +96,8 @@ __all__ = [
     "model_spin_state",
     "mutual_information",
     "naive_budget_check",
-    "pbs_matrix",
     "run",
     "sample_params",
-    "signature_map",
     "snr_per_message",
     "spin_orbit_decompose",
     "transfer_matrix",

@@ -15,13 +15,13 @@ parameters each spin-orbit Bell state exits in a definite port with a
 definite diagonal polarization, so coincidence patterns between the two
 photons' detectors identify the encoded message.
 
-Detection is modeled by rank-4 projectors, one per message: the images
-under the ideal two-photon analyzer of the message's four signature
-pairs.  Their sum is the identity, so every detected event is assigned
-to exactly one message and transfer-matrix columns sum to one.
+Detection reads the analyzed state in the ideal analyzer's pair basis,
+the images of the 16 spin-orbit Bell pairs.  Each pair signals one
+message (states.PAIR_MESSAGES) and the basis is complete, so every event
+is assigned to exactly one message and transfer-matrix columns sum to one.
 
-The PBS is written once, for stacks of gate settings; pbs_matrix is its
-one-setting call.
+The PBS is written once, for stacks of gate settings, in
+analyzer_unitary_stack; analyzer_unitary is its one-setting call.
 """
 
 from __future__ import annotations
@@ -34,14 +34,13 @@ import numpy as np
 
 from .states import (
     _BELL_KETS,
+    _PAIR_KETS,
     MESSAGES,
     PAIR_MESSAGES,
     SourceParams,
-    bell_pair_ket,
     build_source,
     encode,
     encoding_operator,
-    signature_map,
 )
 
 MESSAGE_LABELS = tuple(m.label for m in MESSAGES)
@@ -133,14 +132,10 @@ def hologram_map() -> np.ndarray:
     return np.diag([1.0, -1.0, 1.0, -1.0]).astype(complex)
 
 
-def pbs_matrix(gate: GateParams) -> np.ndarray:
-    """Single-photon PBS with crosstalk, block diagonal over polarization."""
-    return _pbs_stack([gate.eps_H], [gate.eps_V], [gate.phi1], [gate.phi2])[0]
-
-
 def analyzer_unitary(gate: GateParams) -> np.ndarray:
     """Hologram followed by the PBS for one photon (4x4 unitary)."""
-    return pbs_matrix(gate) @ hologram_map()
+    return analyzer_unitary_stack([gate.eps_H], [gate.eps_V], [gate.phi1],
+                                  [gate.phi2])[0]
 
 
 def two_photon_gate(gate: GateParams) -> np.ndarray:
@@ -150,40 +145,31 @@ def two_photon_gate(gate: GateParams) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def detection_projectors() -> tuple:
-    """Rank-4 detection projectors, one per message in canonical order.
-
-    Built from the ideal analyzer's images of the signature pairs, so
-    with a perfect source and gate the transfer matrix is the identity.
-    """
-    u_ideal = two_photon_gate(GateParams())
-    projectors = []
-    for m in MESSAGES:
-        p = np.zeros((16, 16), dtype=complex)
-        for l1, l2 in sorted(signature_map(m)):
-            v = u_ideal @ bell_pair_ket(l1, l2)
-            p += np.outer(v, v.conj())
-        projectors.append(p)
-    return tuple(projectors)
+def _pair_readout():
+    # row k: bra of Bell pair k after the ideal analyzer; signatures[k, m] = 1
+    # when pair k signals m
+    readout = _PAIR_KETS.conj() @ two_photon_gate(GateParams()).conj().T
+    return readout, np.eye(4)[PAIR_MESSAGES]
 
 
 def transfer_matrix(source: SourceParams = SourceParams(),
                     gate: GateParams = GateParams()) -> TransferMatrix:
     """Conditional-detection probabilities for all sent messages.
 
-    p(y|x) = Tr(P_y U rho_x U+) with rho_x the encoded source state and
-    U the two-photon analyzer.  The raw matrix must pass check_channel,
-    so incomplete projectors fail here; what the guard then removes is
+    Each encoded source state rho_x is evolved by the two-photon analyzer
+    U; p(y|x) sums the probabilities of message y's four pairs in the
+    ideal analyzer's pair basis.  The raw matrix must pass check_channel,
+    so an incomplete readout fails here; what the guard then removes is
     rounding: entries are clipped at 0 and columns renormalized.
     """
     rho_source = build_source(source)
     u = two_photon_gate(gate)
-    projectors = detection_projectors()
+    readout, signatures = _pair_readout()
     p = np.zeros((4, 4))
     for x in MESSAGES:
         analyzed = u @ encode(rho_source, x) @ u.conj().T
-        for y in MESSAGES:
-            p[y, x] = np.einsum("ij,ji->", projectors[y], analyzed).real
+        pairs = np.einsum("ki,ij,kj->k", readout, analyzed, readout.conj())
+        p[:, x] = pairs.real @ signatures
     p = np.clip(check_channel(p), 0.0, None)
     p /= p.sum(axis=0, keepdims=True)
     return TransferMatrix(p)
@@ -200,27 +186,23 @@ def apply_accidentals(t: TransferMatrix,
 
 # --- stacks of settings ------------------------------------------------------
 
-def _pbs_stack(eps_H, eps_V, phi1, phi2) -> np.ndarray:
-    # pbs_matrix for each setting of equal-length arrays, shape (n, 4, 4)
+def analyzer_unitary_stack(eps_H, eps_V, phi1, phi2) -> np.ndarray:
+    """analyzer_unitary for a stack of gate settings given as equal-length
+    arrays, shape (n, 4, 4): the hologram, then the PBS, block diagonal over
+    polarization.  The settings are not range-checked here."""
     eps_H, eps_V, phi1, phi2 = (np.asarray(v, dtype=float)
                                 for v in (eps_H, eps_V, phi1, phi2))
     tH, rH = np.sqrt(1.0 - eps_H), np.sqrt(eps_H)
     tV, rV = np.sqrt(1.0 - eps_V), np.sqrt(eps_V)
     e12 = np.exp(0.5j * (phi1 + phi2))
-    u = np.zeros((len(eps_H), 4, 4), dtype=complex)
-    u[:, 0, 0] = u[:, 1, 1] = tH
-    u[:, 0, 1] = -rH
-    u[:, 1, 0] = rH
-    u[:, 2, 2] = u[:, 3, 3] = e12 * rV
-    u[:, 2, 3] = -np.exp(1j * phi2) * tV
-    u[:, 3, 2] = np.exp(1j * phi1) * tV
-    return u
-
-
-def analyzer_unitary_stack(eps_H, eps_V, phi1, phi2) -> np.ndarray:
-    """analyzer_unitary for a stack of gate settings given as equal-length
-    arrays, shape (n, 4, 4).  The settings are not range-checked here."""
-    return _pbs_stack(eps_H, eps_V, phi1, phi2) @ hologram_map()
+    pbs = np.zeros((len(eps_H), 4, 4), dtype=complex)
+    pbs[:, 0, 0] = pbs[:, 1, 1] = tH
+    pbs[:, 0, 1] = -rH
+    pbs[:, 1, 0] = rH
+    pbs[:, 2, 2] = pbs[:, 3, 3] = e12 * rV
+    pbs[:, 2, 3] = -np.exp(1j * phi2) * tV
+    pbs[:, 3, 2] = np.exp(1j * phi1) * tV
+    return pbs @ hologram_map()
 
 
 @lru_cache(maxsize=1)
@@ -250,7 +232,7 @@ def transfer_matrix_stack(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     so its 16 pair probabilities are diag(W_x rho W_x+).  Photon 1 is
     contracted once, photon 2 once per message, each as a product with
     the outer products of 4-entry rows; pairs are then summed by
-    signature_map, and columns get the same check, clip and
+    states.PAIR_MESSAGES, and columns get the same check, clip and
     renormalization guard as transfer_matrix.
     """
     readout, encodings, signatures = _heisenberg_constants()

@@ -24,7 +24,8 @@ Single-photon spin-orbit Bell states, used as the analysis basis:
 
 Each encoded two-photon state is supported on exactly four of the 16
 spin-orbit pair products, with amplitudes of magnitude 1/2; the pair
-sets partition the 16 products into the four messages (signature_map).
+sets partition the 16 products into the four messages (message_of_pair,
+tabulated as PAIR_MESSAGES).
 
 The source model is written once, for stacks of settings: the model kets,
 build_source and ideal_source are one-setting calls of build_source_stack.
@@ -228,13 +229,6 @@ def encoded_ket(message: Message) -> np.ndarray:
     return encoding_operator(message) @ ideal
 
 
-def bell_pair_ket(label1: SpinOrbitBellLabel,
-                  label2: SpinOrbitBellLabel) -> np.ndarray:
-    """Two-photon product of single-photon spin-orbit Bell kets (16-dim)."""
-    return _PAIR_KETS[SpinOrbitBellLabel(label1) * 4
-                      + SpinOrbitBellLabel(label2)].copy()
-
-
 def spin_orbit_decompose(psi: np.ndarray) -> np.ndarray:
     """Amplitudes of a 16-dim ket in the spin-orbit Bell pair basis.
 
@@ -263,15 +257,4 @@ def message_of_pair(label1: SpinOrbitBellLabel,
 # PAIR_MESSAGES[l1*4 + l2] is message_of_pair(l1, l2): one entry per
 # canonical Bell-pair column (photon-1 label major).
 PAIR_MESSAGES = np.array([message_of_pair(l1, l2) for l1, l2 in BELL_PAIRS])
-
-
-def signature_map(message: Message) -> frozenset:
-    """Set of four (photon1, photon2) Bell pairs that identify `message`.
-
-    The four sets are disjoint and together cover all 16 pairs, so each
-    detected pair points to exactly one message.
-    """
-    message = Message(message)
-    return frozenset(pair for pair, m in zip(BELL_PAIRS, PAIR_MESSAGES)
-                     if m == message)
 

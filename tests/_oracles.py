@@ -60,7 +60,8 @@ def divergences(px: np.ndarray, p: np.ndarray) -> np.ndarray:
     """
     w = np.asarray(p, dtype=float).T
     q = np.asarray(px, dtype=float) @ w
-    with np.errstate(divide="ignore"):
+    # where q(y) = 0, w = 0 too, and the masked branch evaluates 0 * inf
+    with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(w > 0.0, w * np.log2(np.where(w > 0.0, w, 1.0) / q),
                         0.0).sum(axis=1)
 

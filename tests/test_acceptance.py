@@ -142,8 +142,8 @@ def test_encoded_states_have_four_half_amplitude_signatures():
                 if abs(amps[i, j]) > 1e-12}
         assert len(live) == 4
         assert live == set(signs[message])
-        assert live == {(int(l1), int(l2))
-                        for l1, l2 in states.signature_map(message)}
+        assert live == {divmod(int(j), 4)
+                        for j in np.flatnonzero(states.PAIR_MESSAGES == message)}
         for (i, j), sign in signs[message].items():
             assert abs(amps[i, j] - sign * 0.5) < 1e-12
 

@@ -32,8 +32,7 @@ def make_counts_csv(signal: int, noise: int) -> str:
     """Counts table with `signal` in every signature column, `noise` elsewhere."""
     lines = [",".join(cli._COUNTS_HEADER)]
     for m in states.MESSAGES:
-        sig = {l1 * 4 + l2 for (l1, l2) in states.signature_map(m)}
-        row = [signal if j in sig else noise for j in range(16)]
+        row = [signal if pm == m else noise for pm in states.PAIR_MESSAGES]
         lines.append(",".join([m.label] + [str(v) for v in row]))
     return "\n".join(lines) + "\n"
 

@@ -8,11 +8,13 @@ transfer_matrix, apply_accidentals and the plain Blahut-Arimoto loop in
 _oracles.  The stacked solver is that loop bit for bit on every solve the
 loop finishes within WARM_UP iterations; beyond them it over-relaxes, and
 must converge wherever the loop does, in no more iterations, to a
-capacity the test certifies itself.  build_source
-and pbs_matrix are one-setting calls of the stacked builders, so the
-stacked source and analyzer unitary are compared with the formulas in
-_oracles instead.  The sampler's stream layout is pinned too: a knob
-draws the same values in every scenario that samples it alike.
+capacity the test certifies itself.  transfer_matrix shares no table
+with the engine's analyzer, and a test checks that it does not reach it.
+build_source and analyzer_unitary are one-setting calls of the stacked
+builders, so the stacked source and analyzer unitary are compared with
+the formulas in _oracles instead.  The sampler's stream layout is pinned
+too: a knob draws the same values in every scenario that samples it
+alike.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperdense import montecarlo as mc
+from hyperdense import optics
 from hyperdense.capacity import (
     WARM_UP,
     average_success,
@@ -99,6 +102,23 @@ def test_stacked_matrices_match_transfer_matrix(settings_list):
         assert np.max(np.abs(p[k] - want)) < 1e-12
 
 
+
+def test_transfer_matrix_does_not_reach_the_engine(monkeypatch):
+    # the single-point route is the engine's reference only while it shares
+    # none of the engine's analyzer
+    source = SourceParams(eps_theta_spin=0.02, eps_phi_spin=-0.1, lambda_spin=0.01,
+                          eps_theta_orbit=0.03, eps_phi_orbit=0.2, lambda_orbit=0.03)
+    gate = GateParams(eps_H=0.005, eps_V=0.01, phi1=0.04, phi2=-0.03)
+    want = transfer_matrix(source, gate).probabilities
+
+    def engine(*args):
+        raise AssertionError("transfer_matrix called the engine")
+
+    monkeypatch.setattr(optics, "_heisenberg_constants", engine)
+    monkeypatch.setattr(optics, "transfer_matrix_stack", engine)
+    assert np.array_equal(transfer_matrix(source, gate).probabilities, want)
+
+
 def _assert_matches_oracle(p, max_iterations=100_000):
     tol_bits = 1e-10
     caps, dists, iterations, converged, gaps = channel_capacity_stack(
@@ -146,6 +166,17 @@ def test_stacked_capacities_of_random_channels():
         # one iteration past the warm-up: open channels return their best point
         converged = _assert_matches_oracle(p, WARM_UP + 1)[3]
         assert converged.any() and not converged.all()
+    # sparse channels: exact zeros, and in half of them an output that no
+    # input reaches, where the solver takes log q(y) as 0
+    rng = np.random.default_rng(11)
+    for m in (2, 3, 4):
+        p = rng.random((60, m, m))
+        p[rng.random((60, m, m)) < 0.5] = 0.0
+        p[:30, m - 1] = 0.0
+        p[:, 0] += p.sum(axis=1) == 0.0  # an input left with no output takes output 0
+        p /= p.sum(axis=1, keepdims=True)
+        for max_iterations in (3, 40, 400, 100_000):
+            _assert_matches_oracle(p, max_iterations)
 
 
 def test_bound_curves_match_oracle():

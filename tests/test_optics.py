@@ -45,19 +45,21 @@ def test_hologram_map():
 
 
 def test_pbs_matrix_ideal_and_boundary():
-    ideal = optics.pbs_matrix(GateParams())
+    # the PBS alone: the hologram is diagonal with entries +-1, its own inverse
+    h = optics.hologram_map()
+    ideal = optics.analyzer_unitary(GateParams()) @ h
     assert np.allclose(ideal[0:2, 0:2], np.eye(2), atol=1e-15)
     assert np.allclose(ideal[2:4, 2:4], [[0, -1], [1, 0]], atol=1e-15)
     assert np.max(np.abs(ideal[0:2, 2:4])) == 0.0
 
-    flipped = optics.pbs_matrix(GateParams(eps_H=1.0))
+    flipped = optics.analyzer_unitary(GateParams(eps_H=1.0)) @ h
     assert np.allclose(flipped[0:2, 0:2], [[0, -1], [1, 0]], atol=1e-15)
 
 
 def test_pbs_matrix_unitary_for_random_params():
     rng = np.random.default_rng(19)
     for _ in range(50):
-        u = optics.pbs_matrix(_random_gate(rng))
+        u = optics.analyzer_unitary(_random_gate(rng)) @ optics.hologram_map()
         assert np.allclose(u.conj().T @ u, np.eye(4), atol=1e-12)
 
 
@@ -85,8 +87,15 @@ def test_two_photon_gate():
                                    optics.analyzer_unitary(g)), atol=1e-15)
 
 
-def test_detection_projectors():
-    projectors = optics.detection_projectors()
+def test_pair_readout_is_complete():
+    readout, signatures = optics._pair_readout()
+    assert np.allclose(readout @ readout.conj().T, np.eye(16), atol=1e-12)
+    assert signatures.shape == (16, 4)
+    assert np.array_equal(signatures.sum(axis=0), [4, 4, 4, 4])
+    assert np.array_equal(signatures.sum(axis=1), np.ones(16))
+    # each message's detection projector: the sum over its pairs' images
+    projectors = [readout[own].conj().T @ readout[own]
+                  for own in signatures.T.astype(bool)]
     assert len(projectors) == 4
     total = np.zeros((16, 16), dtype=complex)
     for p in projectors:
@@ -100,6 +109,8 @@ def test_detection_projectors():
     for m in states.MESSAGES:
         rho = states.encode(states.ideal_source(), m)
         analyzed = u @ rho @ u.conj().T
+        pairs = np.einsum("ki,ij,kj->k", readout, analyzed, readout.conj()).real
+        assert abs(pairs @ signatures[:, m] - 1.0) < 1e-12
         assert abs(np.trace(projectors[m] @ analyzed).real - 1.0) < 1e-12
 
 
@@ -226,16 +237,19 @@ def test_check_channel_takes_stacks_and_reports_the_largest_deviation():
 
 
 def test_incomplete_detection_fails_in_both_analyzers(monkeypatch):
-    # one message's projector scaled by 1.1: its row no longer completes the
-    # columns, and neither analyzer may renormalize that away
+    # one message's signature column scaled by 1.1 in both analyzers' tables:
+    # its row no longer completes the columns, and neither analyzer may
+    # renormalize that away
     readout, encodings, signatures = optics._heisenberg_constants()
     signatures = signatures.copy()
     signatures[:, 1] *= 1.1
-    projectors = list(optics.detection_projectors())
-    projectors[1] = 1.1 * projectors[1]
+    pair_readout, pair_signatures = optics._pair_readout()
+    pair_signatures = pair_signatures.copy()
+    pair_signatures[:, 1] *= 1.1
     monkeypatch.setattr(optics, "_heisenberg_constants",
                         lambda: (readout, encodings, signatures))
-    monkeypatch.setattr(optics, "detection_projectors", lambda: tuple(projectors))
+    monkeypatch.setattr(optics, "_pair_readout",
+                        lambda: (pair_readout, pair_signatures))
     match = "columns must sum to 1 within 1e-9, largest deviation"
     with pytest.raises(ValueError, match=match):
         optics.transfer_matrix(SourceParams(lambda_spin=0.5, lambda_orbit=0.5))

@@ -193,8 +193,8 @@ def test_decompose_is_isometry():
 
 
 def test_decompose_product_basis_ket():
-    psi = states.bell_pair_ket(SpinOrbitBellLabel.PHI_PLUS,
-                               SpinOrbitBellLabel.PHI_PLUS)
+    psi = states._PAIR_KETS[SpinOrbitBellLabel.PHI_PLUS * 4
+                            + SpinOrbitBellLabel.PHI_PLUS]
     amps = states.spin_orbit_decompose(psi)
     assert abs(amps[0, 0] - 1.0) < 1e-12
     assert np.sum(np.abs(amps)) - abs(amps[0, 0]) < 1e-12
@@ -219,10 +219,11 @@ def test_decompose_signatures_and_signs():
         assert np.max(np.abs(amps[mask])) < 1e-12
 
 
-def test_signature_map_partitions_and_matches_decomposition():
+def test_pair_messages_partition_and_match_decomposition():
     seen = set()
     for m in states.MESSAGES:
-        pairs = states.signature_map(m)
+        pairs = {pair for pair, pm in zip(states.BELL_PAIRS, states.PAIR_MESSAGES)
+                 if pm == m}
         assert len(pairs) == 4
         assert not (pairs & seen)
         seen |= pairs
@@ -230,9 +231,9 @@ def test_signature_map_partitions_and_matches_decomposition():
         support = {(SpinOrbitBellLabel(i), SpinOrbitBellLabel(j))
                    for i in range(4) for j in range(4)
                    if abs(amps[i, j]) > 1e-12}
-        assert support == set(pairs)
+        assert support == pairs
     assert len(seen) == 16
     for l1, l2 in seen:
         m = states.message_of_pair(l1, l2)
-        assert (l1, l2) in states.signature_map(m)
+        assert states.PAIR_MESSAGES[l1 * 4 + l2] == m
 
