@@ -2,13 +2,13 @@
 
 The detection scheme turns each sent message x into a distribution over
 detected messages y, i.e. a discrete memoryless channel.  Capacity is
-computed with one Blahut-Arimoto loop, channel_capacity_stack.  Its
-first WARM_UP iterations are the plain update, which closes every
-near-ideal channel; a solve still open after them takes over-relaxed
-steps, each kept only if it does not lower I(p) and shrinks the gap of
-the bracket I(p) <= C <= max_x D(x) faster than a plain step.  Every
-solve stops on that gap, and reports it, so a returned capacity is
-certified to tol_bits.
+computed with one Blahut-Arimoto loop, channel_capacity_stack, whose
+every iteration takes one step p <- p exp(step (D - max D)) / norm.  Its
+first WARM_UP steps are plain (step = 1), which closes every near-ideal
+channel; a solve still open after them takes over-relaxed steps, each
+kept only if it shrinks the gap of the bracket I(p) <= C <= max_x D(x)
+below that of the last kept point.  Every solve stops on that gap, and
+reports it, so a returned capacity is certified to tol_bits.
 
 bound_channel bounds the achievable (success probability, capacity)
 region of an n-message encoding, n = 3 or 4.  Its lower channel spreads
@@ -62,21 +62,31 @@ def validate_input_distribution(px, n: int) -> np.ndarray:
     return px / total
 
 
+def _divergences(w, log_w, r) -> tuple:
+    """D(x) and I(r) in nats for a stack of channels w[k, x, y] = p(y | x).
+
+    log_w is ln w, 0 where w = 0, and r has shape (k, 1, m).  D(x) =
+    sum_y w[x, y] (ln w[x, y] - ln q(y)) with q = r w, taking ln q as 0
+    where q = 0 (no input in r reaches that output); returns d of shape
+    (k, m, 1) and I(r) = sum_x r(x) D(x) of shape (k,).
+    """
+    q = r @ w
+    np.log(q, out=q, where=q > 0.0)
+    d = (w * (log_w - q)).sum(axis=2, keepdims=True)
+    return d, (r @ d)[:, 0, 0]
+
+
 def mutual_information(px, t) -> float:
     """I(X;Y) in bits for input distribution px over the channel t.
 
-    Zero-probability terms contribute zero (0*log 0 = 0 convention).
+    Zero-probability terms contribute zero (0*log 0 = 0 convention).  This
+    is the solver's own I(p), from the same divergences D(x).
     """
     p = _prob_matrix(t)
-    n = p.shape[1]
-    px = validate_input_distribution(px, n)
-    w = p.T  # w[x, y] = p(y | x)
-    q = px @ w
-    mask = (w > 0.0) & (px[:, None] > 0.0)
-    safe_w = np.where(mask, w, 1.0)
-    safe_q = np.where(q > 0.0, q, 1.0)
-    terms = np.where(mask, px[:, None] * w * (np.log(safe_w) - np.log(safe_q)), 0.0)
-    return float(terms.sum() / _LN2)
+    px = validate_input_distribution(px, p.shape[1])
+    w = np.ascontiguousarray(p).T[None]  # w[0, x, y] = p(y | x), as in the solver
+    low = _divergences(w, np.log(np.where(w > 0.0, w, 1.0)), px[None, None])[1]
+    return float(low[0] / _LN2)
 
 
 @dataclass(frozen=True)
@@ -103,10 +113,9 @@ def channel_capacity(t, tol_bits: float = 1e-10,
     The per-iteration bracket I(p) <= C <= max_x D(x) gives a stopping
     rule: iterate until the gap falls below tol_bits.  A solve still open
     after WARM_UP plain iterations takes over-relaxed steps, each kept
-    only if it does not lower I(p) and shrinks the gap faster than a
-    plain step.  If the iteration cap is hit first, the last kept point
-    is returned with converged=False.  This is channel_capacity_stack on
-    one channel.
+    only if it shrinks the gap below that of the last kept point.  If the
+    iteration cap is hit first, the last kept point is returned with
+    converged=False.  This is channel_capacity_stack on one channel.
     """
     caps, r, iterations, converged, gaps = channel_capacity_stack(
         _prob_matrix(t)[None], tol_bits, max_iterations)
@@ -125,19 +134,17 @@ def channel_capacity_stack(p, tol_bits: float = 1e-10,
     """channel_capacity for a stack of channels p[k, y, x], shape (n, m, m).
 
     Runs the Blahut-Arimoto update on every channel at once; a channel
-    leaves the active set when its own gap closes.  Iterations 1 to
-    WARM_UP + 1 take the plain step r <- r exp(D - max D) / norm, and the
-    last of them measures rho, the factor by which a plain step shrank
-    the gap max_x D(x) - I(r).  After that each open channel steps
-    r <- r exp(mu (D - max D)) / norm with its own mu: 2 at first, doubled
-    (up to 64) after each kept relaxed step (Matz & Duhamel, ITW 2004).
-    A relaxed step is undone if it lowers I(r) by more than a thousandth
-    of the gap (I is a sum of O(1) terms, so its last bits are rounding)
-    or does not shrink the gap of the last kept point by more than rho:
-    mu halves (down to 1) and the plain step is taken from that point
-    instead.  A plain step is never undone, and measures rho again.  The
-    stopping rule is the gap at the evaluated point either way; a channel
-    that hits max_iterations returns its last kept point, unconverged.
+    leaves the active set when its own gap max_x D(x) - I(r) closes.
+    Every iteration takes one step r <- r exp(step (D - max D)) / norm,
+    with step = 1, the plain update, through iteration WARM_UP.  After
+    that each open channel steps with its own mu: 2 at first, doubled
+    (up to 64) after each kept step taken at mu (Matz & Duhamel, ITW
+    2004).  A relaxed step is kept if and only if its gap is below the
+    gap of the last kept point; otherwise it is undone, mu halves (down
+    to 1) and the plain step is taken from that point instead.  A plain
+    step is always kept.  The stopping rule is the gap at the evaluated
+    point either way; a channel that hits max_iterations returns its
+    last kept point, unconverged.
     Returns arrays
     (capacity_bits, input_distributions, iterations, converged, gap_bits)
     of shape (n,), (n, m), (n,), (n,) and (n,); the channels are not
@@ -155,7 +162,7 @@ def channel_capacity_stack(p, tol_bits: float = 1e-10,
     # channel's result independent of the stack it is solved in
     w = np.swapaxes(np.ascontiguousarray(p, dtype=float), 1, 2)
     n, m = w.shape[:2]
-    # log 1 = 0 where w = 0, so those terms below are 0 * finite = 0
+    # log 1 = 0 where w = 0, so those terms in D are 0 * finite = 0
     log_w = np.log(np.where(w > 0.0, w, 1.0))
 
     i_low = np.empty(n)
@@ -165,12 +172,10 @@ def channel_capacity_stack(p, tol_bits: float = 1e-10,
     converged = np.zeros(n, dtype=bool)
     active = np.arange(n)
     r = np.full((n, 1, m), 1.0 / m)
-    kept = []  # after WARM_UP: last kept point (r, d, d_max, low, gap), mu, step, rho
+    mu, step = np.full(n, 2.0), np.ones(n)  # each channel's relaxation and next step
+    kept = []  # from WARM_UP on: the last kept point (r, d, d_max, low, gap)
     for it in range(1, max_iterations + 1):
-        q = r @ w
-        np.log(q, out=q, where=q > 0.0)
-        d = (w * (log_w - q)).sum(axis=2, keepdims=True)
-        low = (r @ d)[:, 0, 0]
+        d, low = _divergences(w, log_w, r)
         d_max = d.max(axis=1, keepdims=True)
         gap = d_max[:, 0, 0] - low
         done = gap < tol_bits * _LN2
@@ -181,34 +186,25 @@ def channel_capacity_stack(p, tol_bits: float = 1e-10,
             dists[leaving] = r[done, 0]
             iterations[leaving] = it
             converged[leaving] = True
-            active, w, log_w, r, d, d_max, low, gap, *kept = (
-                v[~done] for v in (active, w, log_w, r, d, d_max, low, gap, *kept))
+            active, w, log_w, r, d, d_max, low, gap, mu, step, *kept = (
+                v[~done] for v in (active, w, log_w, r, d, d_max, low, gap, mu, step, *kept))
             if not active.size:
                 break
         if it > WARM_UP:
-            *old, mu, step, rho = kept
-            plain = step == 1.0
-            # a relaxed step must not lower I beyond rounding, and must shrink
-            # the gap by more than the last plain step did
-            keep = plain | ((low >= old[3] - 1e-3 * old[4]) & (gap < rho * old[4]))
-            rho = np.where(plain, np.minimum(gap / old[4], 1.0), rho)
+            # a plain step is always kept, a relaxed one only if it shrinks the gap
+            keep = (step == 1.0) | (gap < kept[4])
             if not keep.all():
                 undo = ~keep
-                for v, v_old in zip((r, d, d_max, low, gap), old):
+                for v, v_old in zip((r, d, d_max, low, gap), kept):
                     v[undo] = v_old[undo]
             mu = np.where(keep, np.where(step == mu, np.minimum(2.0 * mu, _MAX_RELAXATION), mu),
                           np.maximum(0.5 * mu, 1.0))
             step = np.where(keep, mu, 1.0)
         if it == max_iterations:
             break
-        if it < WARM_UP:
-            r *= np.exp(d - d_max).swapaxes(1, 2)
-        else:
-            if it == WARM_UP:  # one more plain step measures its gap ratio rho
-                mu = np.full(active.size, 2.0)
-                step = rho = np.ones(active.size)
-            kept = [r, d, d_max, low, gap, mu, step, rho]
-            r = r * np.exp(step[:, None, None] * (d - d_max)).swapaxes(1, 2)
+        if it >= WARM_UP:
+            kept = [r, d, d_max, low, gap]
+        r = r * np.exp(step[:, None, None] * (d - d_max)).swapaxes(1, 2)
         r /= r.sum(axis=2, keepdims=True)
     i_low[active] = low
     gaps[active] = gap
