@@ -3,12 +3,12 @@
 The detection scheme turns each sent message x into a distribution over
 detected messages y, i.e. a discrete memoryless channel.  Capacity is
 computed with one Blahut-Arimoto loop, channel_capacity_stack, whose
-every iteration takes one step p <- p exp(step (D - max D)) / norm.  Its
-first WARM_UP steps are plain (step = 1), which closes every near-ideal
-channel; a solve still open after them takes over-relaxed steps, each
-kept only if it shrinks the gap of the bracket I(p) <= C <= max_x D(x)
-below that of the last kept point.  Every solve stops on that gap, and
-reports it, so a returned capacity is certified to tol_bits.
+every iteration takes the plain step p <- p exp(D - max D) / norm.  That
+closes every near-ideal channel within WARM_UP iterations; from then on a
+solve still open also tries an over-relaxed step from the same p, and
+takes it only if it leaves the bracket I(p) <= C <= max_x D(x) narrower.
+Every solve stops on that gap, and reports it, so a returned capacity is
+certified to tol_bits.
 
 bound_channel bounds the achievable (success probability, capacity)
 region of an n-message encoding, n = 3 or 4.  Its lower channel spreads
@@ -65,15 +65,23 @@ def validate_input_distribution(px, n: int) -> np.ndarray:
 def _divergences(w, log_w, r) -> tuple:
     """D(x) and I(r) in nats for a stack of channels w[k, x, y] = p(y | x).
 
-    log_w is ln w, 0 where w = 0, and r has shape (k, 1, m).  D(x) =
-    sum_y w[x, y] (ln w[x, y] - ln q(y)) with q = r w, taking ln q as 0
-    where q = 0 (no input in r reaches that output); returns d of shape
-    (k, m, 1) and I(r) = sum_x r(x) D(x) of shape (k,).
+    log_w is ln w, 0 where w = 0, and r has shape (k, m).  D(x) =
+    sum_y w[x, y] (ln w[x, y] - ln q(y)) with q = sum_x r(x) w[x], taking
+    ln q as 0 where q = 0 (no input in r reaches that output); returns d of
+    shape (k, m) and I(r) = sum_x r(x) D(x) of shape (k,).  Every sum is a
+    numpy reduction, not a matmul, so no BLAS kernel sets its rounding.
     """
-    q = r @ w
+    q = (r[:, :, None] * w).sum(axis=1)
     np.log(q, out=q, where=q > 0.0)
-    d = (w * (log_w - q)).sum(axis=2, keepdims=True)
-    return d, (r @ d)[:, 0, 0]
+    d = (w * (log_w - q[:, None])).sum(axis=2)
+    return d, (r * d).sum(axis=1)
+
+
+def _step(w, log_w, r, ascent) -> tuple:
+    """The point r exp(ascent) / norm, with its D(x) and I: (r, d, low)."""
+    r = r * np.exp(ascent)
+    r /= r.sum(axis=1, keepdims=True)
+    return (r, *_divergences(w, log_w, r))
 
 
 def mutual_information(px, t) -> float:
@@ -85,7 +93,7 @@ def mutual_information(px, t) -> float:
     p = _prob_matrix(t)
     px = validate_input_distribution(px, p.shape[1])
     w = np.ascontiguousarray(p).T[None]  # w[0, x, y] = p(y | x), as in the solver
-    low = _divergences(w, np.log(np.where(w > 0.0, w, 1.0)), px[None, None])[1]
+    low = _divergences(w, np.log(np.where(w > 0.0, w, 1.0)), px[None])[1]
     return float(low[0] / _LN2)
 
 
@@ -111,11 +119,11 @@ def channel_capacity(t, tol_bits: float = 1e-10,
     Alternates the backward step q(x|y) proportional to p(x) p(y|x) with
     the input update p(x) proportional to exp(sum_y p(y|x) ln q(x|y)).
     The per-iteration bracket I(p) <= C <= max_x D(x) gives a stopping
-    rule: iterate until the gap falls below tol_bits.  A solve still open
-    after WARM_UP plain iterations takes over-relaxed steps, each kept
-    only if it shrinks the gap below that of the last kept point.  If the
-    iteration cap is hit first, the last kept point is returned with
-    converged=False.  This is channel_capacity_stack on one channel.
+    rule: iterate until the gap falls below tol_bits.  From iteration
+    WARM_UP on, an over-relaxed step is taken instead wherever it leaves
+    a narrower gap than the plain step.  If the iteration cap is hit
+    first, the current point is returned with converged=False.  This is
+    channel_capacity_stack on one channel.
     """
     caps, r, iterations, converged, gaps = channel_capacity_stack(
         _prob_matrix(t)[None], tol_bits, max_iterations)
@@ -133,18 +141,15 @@ def channel_capacity_stack(p, tol_bits: float = 1e-10,
                            max_iterations: int = 100_000) -> tuple:
     """channel_capacity for a stack of channels p[k, y, x], shape (n, m, m).
 
-    Runs the Blahut-Arimoto update on every channel at once; a channel
-    leaves the active set when its own gap max_x D(x) - I(r) closes.
-    Every iteration takes one step r <- r exp(step (D - max D)) / norm,
-    with step = 1, the plain update, through iteration WARM_UP.  After
-    that each open channel steps with its own mu: 2 at first, doubled
-    (up to 64) after each kept step taken at mu (Matz & Duhamel, ITW
-    2004).  A relaxed step is kept if and only if its gap is below the
-    gap of the last kept point; otherwise it is undone, mu halves (down
-    to 1) and the plain step is taken from that point instead.  A plain
-    step is always kept.  The stopping rule is the gap at the evaluated
-    point either way; a channel that hits max_iterations returns its
-    last kept point, unconverged.
+    Runs the Blahut-Arimoto update on every channel at once, from one
+    current point r per channel; a channel leaves the active set when its
+    own gap max_x D(x) - I(r) closes.  Every iteration computes the plain
+    step r exp(D - max D) / norm.  From iteration WARM_UP on, each open
+    channel also computes the relaxed step r exp(mu (D - max D)) / norm
+    from the same r (Matz & Duhamel, ITW 2004), and moves to it only where
+    its gap is strictly smaller.  Its mu, 2 at first, then doubles (up to
+    64), and otherwise halves (down to 2: at 1 the two steps are one).  A
+    channel that hits max_iterations returns its current point, unconverged.
     Returns arrays
     (capacity_bits, input_distributions, iterations, converged, gap_bits)
     of shape (n,), (n, m), (n,), (n,) and (n,); the channels are not
@@ -165,50 +170,44 @@ def channel_capacity_stack(p, tol_bits: float = 1e-10,
     # log 1 = 0 where w = 0, so those terms in D are 0 * finite = 0
     log_w = np.log(np.where(w > 0.0, w, 1.0))
 
-    i_low = np.empty(n)
-    gaps = np.empty(n)
+    i_low, gaps = np.empty((2, n))
     dists = np.empty((n, m))
     iterations = np.full(n, max_iterations)
     converged = np.zeros(n, dtype=bool)
     active = np.arange(n)
-    r = np.full((n, 1, m), 1.0 / m)
-    mu, step = np.full(n, 2.0), np.ones(n)  # each channel's relaxation and next step
-    kept = []  # from WARM_UP on: the last kept point (r, d, d_max, low, gap)
+    r = np.full((n, m), 1.0 / m)
+    d, low = _divergences(w, log_w, r)
+    mu = np.full(n, 2.0)  # each channel's relaxation
     for it in range(1, max_iterations + 1):
-        d, low = _divergences(w, log_w, r)
-        d_max = d.max(axis=1, keepdims=True)
-        gap = d_max[:, 0, 0] - low
+        d_max = d.max(axis=1)
+        gap = d_max - low
         done = gap < tol_bits * _LN2
         if done.any():
             leaving = active[done]
             i_low[leaving] = low[done]
             gaps[leaving] = gap[done]
-            dists[leaving] = r[done, 0]
+            dists[leaving] = r[done]
             iterations[leaving] = it
             converged[leaving] = True
-            active, w, log_w, r, d, d_max, low, gap, mu, step, *kept = (
-                v[~done] for v in (active, w, log_w, r, d, d_max, low, gap, mu, step, *kept))
+            active, w, log_w, r, d, d_max, low, gap, mu = (
+                v[~done] for v in (active, w, log_w, r, d, d_max, low, gap, mu))
             if not active.size:
                 break
-        if it > WARM_UP:
-            # a plain step is always kept, a relaxed one only if it shrinks the gap
-            keep = (step == 1.0) | (gap < kept[4])
-            if not keep.all():
-                undo = ~keep
-                for v, v_old in zip((r, d, d_max, low, gap), kept):
-                    v[undo] = v_old[undo]
-            mu = np.where(keep, np.where(step == mu, np.minimum(2.0 * mu, _MAX_RELAXATION), mu),
-                          np.maximum(0.5 * mu, 1.0))
-            step = np.where(keep, mu, 1.0)
         if it == max_iterations:
             break
+        ascent = d - d_max[:, None]
+        point = _step(w, log_w, r, ascent)  # the plain step
         if it >= WARM_UP:
-            kept = [r, d, d_max, low, gap]
-        r = r * np.exp(step[:, None, None] * (d - d_max)).swapaxes(1, 2)
-        r /= r.sum(axis=2, keepdims=True)
+            # the relaxed step from the same r, taken where its gap is smaller
+            relaxed = _step(w, log_w, r, mu[:, None] * ascent)
+            better = relaxed[1].max(axis=1) - relaxed[2] < point[1].max(axis=1) - point[2]
+            for v, v_relaxed in zip(point, relaxed):
+                v[better] = v_relaxed[better]
+            mu = np.where(better, np.minimum(2.0 * mu, _MAX_RELAXATION), np.maximum(0.5 * mu, 2.0))
+        r, d, low = point
     i_low[active] = low
     gaps[active] = gap
-    dists[active] = r[:, 0]
+    dists[active] = r
     return np.maximum(i_low / _LN2, 0.0), dists, iterations, converged, gaps / _LN2
 
 

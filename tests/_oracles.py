@@ -119,10 +119,12 @@ def blahut_arimoto(p: np.ndarray, tol_bits: float = 1e-10,
     iterations = 0
     converged = False
     for iterations in range(1, max_iterations + 1):
-        q = r @ w
+        # reductions, not matmuls, summed in the package solver's order: the
+        # two agree bit for bit, whichever BLAS kernel numpy loaded
+        q = (r[:, None] * w).sum(axis=0)
         safe_q = np.where(q > 0.0, q, 1.0)
         d = np.where(positive, w * (log_w - np.log(safe_q)), 0.0).sum(axis=1)
-        i_low = float(r @ d)
+        i_low = float((r * d).sum())
         i_up = float(d.max())
         if i_up - i_low < tol_nats:
             converged = True

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -35,6 +36,15 @@ def make_counts_csv(signal: int, noise: int) -> str:
         row = [signal if pm == m else noise for pm in states.PAIR_MESSAGES]
         lines.append(",".join([m.label] + [str(v) for v in row]))
     return "\n".join(lines) + "\n"
+
+
+def uneven_counts_csv() -> str:
+    """Counts table with 500 in every signature column and 5 k^2 elsewhere in
+    row k = 1..4: unequal noise per row, so its capacity solve does not close
+    on its first pass."""
+    header, *rows = make_counts_csv(signal=500, noise=0).splitlines()
+    return "\n".join([header] + [row.replace(",0", f",{5 * k * k}")
+                                 for k, row in enumerate(rows, 1)]) + "\n"
 
 
 def test_simulate_ideal_json(capsys):
@@ -296,10 +306,7 @@ def test_uncertified_capacity_is_reported_on_stderr(capsys, monkeypatch, tmp_pat
     params = tmp_path / "params.txt"
     params.write_text("gate.eps_H = 0.05\ngate.phi1_deg = 20\n")
     counts = tmp_path / "counts.csv"
-    header, *rows = make_counts_csv(signal=500, noise=0).splitlines()
-    # unequal noise per row, so the solve does not close on its first pass
-    counts.write_text("\n".join([header] + [row.replace(",0", f",{5 * k * k}")
-                                           for k, row in enumerate(rows, 1)]) + "\n")
+    counts.write_text(uneven_counts_csv())
     argv = ([command, "--params", str(params)] if command == "simulate"
             else [command, str(counts)]) + ["--format", "json"]
     rc, certified, err = run_cli(capsys, *argv)
@@ -548,6 +555,32 @@ def _package_env() -> dict:
     env["PYTHONPATH"] = os.pathsep.join(
         [package_root] + [p for p in [env.get("PYTHONPATH")] if p])
     return env
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+def test_printed_capacities_do_not_depend_on_the_blas_kernel(tmp_path):
+    # OpenBLAS picks a kernel for the CPU it runs on, and each kernel rounds a
+    # matmul's sums in its own order; Prescott (SSE3) is the oldest x86-64 one
+    counts = tmp_path / "counts.csv"
+    counts.write_text(uneven_counts_csv())
+    script = (
+        "from hyperdense import cli\n"
+        "for argv in [['bounds', '--encoding', '3', '--format', 'csv'],\n"
+        "             ['bounds', '--encoding', '4', '--format', 'json'],\n"
+        f"             ['analyze', {str(counts)!r}, '--format', 'json']]:\n"
+        "    assert cli.main(argv) == 0, argv\n")
+    outputs = []
+    for kernel in (None, "Prescott"):
+        env = _package_env()
+        env.pop("OPENBLAS_CORETYPE", None)
+        if kernel is not None:
+            env["OPENBLAS_CORETYPE"] = kernel
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, ""), kernel
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_import_and_every_subcommand_leave_scipy_unloaded(tmp_path):
