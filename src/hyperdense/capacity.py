@@ -27,12 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optics import MESSAGE_LABELS, TransferMatrix, check_channel
+from .optics import TransferMatrix, check_channel
 from .states import MESSAGES, PAIR_MESSAGES
 
 _LN2 = math.log(2.0)
-
-_THREE_LABELS = ("S1", "S2", "S3")
 
 # Most points bound_curve samples on one curve, all solved in one stack.
 MAX_RESOLUTION = 10_000
@@ -191,9 +189,7 @@ def channel_capacity_stack(p, tol_bits: float = 1e-10,
             converged[leaving] = True
             active, w, log_w, r, d, d_max, low, gap, mu = (
                 v[~done] for v in (active, w, log_w, r, d, d_max, low, gap, mu))
-            if not active.size:
-                break
-        if it == max_iterations:
+        if not active.size or it == max_iterations:
             break
         ascent = d - d_max[:, None]
         point = _step(w, log_w, r, ascent)  # the plain step
@@ -250,9 +246,11 @@ def _check_curve(encoding: int, which: str) -> None:
                          "be 3 or 4 and which must be 'lower' or 'upper'")
 
 
-def bound_channel(encoding: int, which: str, p_s: float) -> TransferMatrix:
-    """Bound channel of n = encoding symbols at average success p_s.
+def bound_channel(encoding: int, which: str, p_s: float) -> np.ndarray:
+    """Bound channel p[y, x] of n = encoding symbols at average success p_s.
 
+    An n x n array that has passed check_channel, not a TransferMatrix:
+    its symbols are abstract, not the four messages.
     "lower": diagonal p_s, (1 - p_s)/(n - 1) elsewhere; p_s in [1/n, 1].
     "upper": a binary symmetric pair with diagonal (n*p_s - n + 2)/2, then
     n - 2 noiseless symbols; p_s in [(n - 2)/n, 1].
@@ -269,7 +267,7 @@ def bound_channel(encoding: int, which: str, p_s: float) -> TransferMatrix:
         d = (n * p_s - n + 2) / 2
         p = np.eye(n)
         p[:2, :2] = [[d, 1.0 - d], [1.0 - d, d]]
-    return TransferMatrix(p, _THREE_LABELS if n == 3 else MESSAGE_LABELS)
+    return check_channel(p)
 
 
 def bound_curve(encoding: int, which: str, resolution: int = 50) -> np.ndarray:
@@ -288,5 +286,5 @@ def bound_curve(encoding: int, which: str, resolution: int = 50) -> np.ndarray:
     start = 1.0 / encoding if which == "lower" else (encoding - 1) / encoding
     ps = np.linspace(start, 1.0, resolution)
     caps = channel_capacity_stack(
-        [bound_channel(encoding, which, p).probabilities for p in ps])[0]
+        np.stack([bound_channel(encoding, which, p) for p in ps]))[0]
     return np.column_stack([ps, caps])

@@ -35,26 +35,22 @@ _PARAMS_FILE_KEYS = dict.fromkeys((p.key for p in mc.PARAMS), float)
 _FORMATS = ("json", "csv", "table")
 
 
-def _records(params: mc.ImperfectionParams) -> tuple:
+def _records(values: dict) -> tuple:
+    params = mc.ImperfectionParams.from_values(values)
     return (params.source_params(), params.gate_params(),
             params.accidental_model())
 
 
-def _check_param(key: str, value: float) -> None:
-    _records(mc.ImperfectionParams.from_values({key: value}))
-
-
 def _parse_params(text: str) -> tuple:
-    return _records(mc.ImperfectionParams.from_values(
-        mc.parse_key_values(text, _PARAMS_FILE_KEYS, _check_param)))
+    return mc.parse_key_values(text, _PARAMS_FILE_KEYS, _records)
 
 
 def load_params(path) -> tuple:
     """Read a flat key=value parameter file with the keys of mc.PARAMS.
 
     Returns (SourceParams, GateParams, AccidentalModel); missing keys
-    default to the ideal apparatus with no accidentals.  A value outside
-    its record's range fails with its line.
+    default to the ideal apparatus with no accidentals.  A value that the
+    record built from its line alone rejects fails with that line.
     """
     return mc.parse_file(path, _parse_params)
 
@@ -121,14 +117,16 @@ def _csv_text(header, rows, notes=None) -> str:
 
 
 def _matrix_csv(t: optics.TransferMatrix, notes) -> str:
-    return _csv_text(["detected"] + [f"sent_{lab}" for lab in t.labels],
-                     [[lab, *t.probabilities[y]] for y, lab in enumerate(t.labels)],
+    labels = optics.MESSAGE_LABELS
+    return _csv_text(["detected"] + [f"sent_{lab}" for lab in labels],
+                     [[lab, *t.probabilities[y]] for y, lab in enumerate(labels)],
                      notes)
 
 
 def _matrix_table(title: str, t: optics.TransferMatrix) -> list:
-    lines = [title, "", "detected " + "".join(f"{lab:>12}" for lab in t.labels)]
-    for y, lab in enumerate(t.labels):
+    labels = optics.MESSAGE_LABELS
+    lines = [title, "", "detected " + "".join(f"{lab:>12}" for lab in labels)]
+    for y, lab in enumerate(labels):
         lines.append(f"{lab:<8} " +
                      "".join(f"{v:>12.6g}" for v in t.probabilities[y]))
     return lines + [""]
@@ -156,8 +154,7 @@ def _capacity(t) -> cap.CapacityResult:
 
 def _cmd_simulate(args) -> str:
     source, gate, accidentals = (
-        load_params(args.params) if args.params
-        else _records(mc.ImperfectionParams.from_values({})))
+        load_params(args.params) if args.params else _parse_params(""))
     t = optics.transfer_matrix(source, gate)
     if accidentals.fraction > 0.0:
         t = optics.apply_accidentals(t, accidentals)

@@ -121,14 +121,16 @@ _BLOCK = 1024
 _RADIANS_PER_DEGREE = math.pi / 180.0
 
 
-def parse_key_values(text: str, keys: dict, check=None) -> dict:
-    """Parse flat ``key = value`` lines into {key: converted value}.
+def parse_key_values(text: str, keys: dict, build):
+    """The record ``build(values)`` of flat ``key = value`` lines.
 
-    ``keys`` maps every valid key to its converter (str, int or float).
-    Blank lines and #-comments are ignored.  An unknown or repeated key,
-    a value the converter rejects, a NaN or infinite number and a value
-    that ``check(key, value)`` rejects with ValueError are errors that
-    name the line.
+    ``keys`` maps every valid key to its converter (str, int or float),
+    and ``build`` makes a record from {key: converted value}, missing keys
+    at their defaults.  A line is valid when the record built from that
+    line alone is: each line is checked by ``build({key: value})``.  Blank
+    lines and #-comments are ignored.  An unknown or repeated key, a value
+    the converter rejects, a NaN or infinite number and a value that
+    ``build`` rejects with ValueError are errors that name the line.
     """
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -150,13 +152,12 @@ def parse_key_values(text: str, keys: dict, check=None) -> dict:
                              f"as {keys[key].__name__}") from None
         if isinstance(v, float) and not math.isfinite(v):
             raise ValueError(f"line {lineno}: {key} must be finite, got {value!r}")
-        if check is not None:
-            try:
-                check(key, v)
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {key}: {exc}") from None
+        try:
+            build({key: v})
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {key}: {exc}") from None
         values[key] = v
-    return values
+    return build(values)
 
 
 def _to_fields(values: dict, ideal) -> dict:
@@ -227,7 +228,11 @@ class McScenario:
             raise ValueError("active must be a collection of group names, "
                              f"got the string {self.active!r}")
         object.__setattr__(self, "active", frozenset(self.active))
-        _check_groups(self.active)
+        unknown_groups = self.active - set(IMPERFECTION_GROUPS)
+        if unknown_groups:
+            raise ValueError(
+                f"unknown imperfection groups {sorted(unknown_groups)}; "
+                f"valid groups: {list(IMPERFECTION_GROUPS)}")
         valid_params = [p.key for p in PARAMS]
         unknown_params = set(self.distributions) - set(valid_params)
         if unknown_params:
@@ -241,22 +246,11 @@ class McScenario:
             v = getattr(self, name)
             if isinstance(v, bool) or not hasattr(v, "__index__"):
                 raise ValueError(f"{name} must be an integer, got {v!r}")
-            object.__setattr__(self, name, operator.index(v))
-            _check_int(name, getattr(self, name))
-
-
-def _check_groups(active) -> None:
-    unknown_groups = set(active) - set(IMPERFECTION_GROUPS)
-    if unknown_groups:
-        raise ValueError(
-            f"unknown imperfection groups {sorted(unknown_groups)}; "
-            f"valid groups: {list(IMPERFECTION_GROUPS)}")
-
-
-def _check_int(name: str, v: int) -> None:
-    lo, hi = _INT_RANGES[name]
-    if not lo <= v <= hi:
-        raise ValueError(f"{name} must lie in [{lo}, {hi}], got {v}")
+            v = operator.index(v)
+            lo, hi = _INT_RANGES[name]
+            if not lo <= v <= hi:
+                raise ValueError(f"{name} must lie in [{lo}, {hi}], got {v}")
+            object.__setattr__(self, name, v)
 
 
 def default_scenarios() -> list:
@@ -430,24 +424,7 @@ def _groups(text: str) -> frozenset:
     return frozenset(g.strip() for g in text.split(",") if g.strip())
 
 
-def _check_scenario_value(key: str, value) -> None:
-    if key in _INT_RANGES:
-        _check_int(key, value)
-    elif key == "active":
-        _check_groups(_groups(value))
-    elif key.endswith(".sigma"):
-        ParamDistribution(0.0, value)
-
-
-def parse_scenario_text(text: str) -> McScenario:
-    """Parse the flat key=value scenario format.
-
-    Recognized keys: name=, active= (comma-separated groups),
-    iterations=, seed=, and per-parameter <param>.mean= / <param>.sigma=
-    with <param> a key of PARAMS (a missing mean is the knob's default).
-    Blank lines and #-comments are ignored; bad values fail with their line.
-    """
-    values = parse_key_values(text, _SCENARIO_KEYS, _check_scenario_value)
+def _scenario(values: dict) -> McScenario:
     dists = {}
     for p in PARAMS:
         mean, sigma = f"{p.key}.mean", f"{p.key}.sigma"
@@ -459,6 +436,18 @@ def parse_scenario_text(text: str) -> McScenario:
                       distributions=dists,
                       iterations=values.get("iterations", DEFAULT_ITERATIONS),
                       seed=values.get("seed", DEFAULT_SEED))
+
+
+def parse_scenario_text(text: str) -> McScenario:
+    """Parse the flat key=value scenario format.
+
+    Recognized keys: name=, active= (comma-separated groups),
+    iterations=, seed=, and per-parameter <param>.mean= / <param>.sigma=
+    with <param> a key of PARAMS (a missing mean is the knob's default).
+    Blank lines and #-comments are ignored; a value that McScenario or
+    ParamDistribution rejects fails with its line.
+    """
+    return parse_key_values(text, _SCENARIO_KEYS, _scenario)
 
 
 def parse_file(path, parse):

@@ -103,28 +103,20 @@ def check_channel(p) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TransferMatrix:
-    """Column-stochastic conditional-detection matrix p(detected | sent).
+    """The four-message channel p(detected | sent), a checked 4x4 array.
 
     probabilities[y, x] is the probability of assigning message y when
-    message x was sent; columns are indexed in the canonical message
-    order and sum to one.
+    message x was sent, both indexed Phi+, Phi-, Psi+, Psi- (the order of
+    MESSAGE_LABELS); columns sum to one.
     """
 
     probabilities: np.ndarray
-    labels: tuple = MESSAGE_LABELS
 
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)
-        object.__setattr__(self, "probabilities", p)
-        n = len(self.labels)
-        if p.shape != (n, n):
-            raise ValueError(
-                f"expected a {n}x{n} matrix for {n} labels, got {p.shape}")
-        check_channel(p)
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
+        if p.shape != (4, 4):
+            raise ValueError(f"expected a 4x4 matrix, got {p.shape}")
+        object.__setattr__(self, "probabilities", check_channel(p))
 
 
 def hologram_map() -> np.ndarray:
@@ -179,9 +171,7 @@ def apply_accidentals(t: TransferMatrix,
                       accidentals: AccidentalModel) -> TransferMatrix:
     """Mix a uniform accidental-coincidence floor into the matrix."""
     f = accidentals.fraction
-    n = t.n
-    p = (1.0 - f) * t.probabilities + f / n
-    return TransferMatrix(p, t.labels)
+    return TransferMatrix((1.0 - f) * t.probabilities + f / 4)
 
 
 # --- stacks of settings ------------------------------------------------------
@@ -256,7 +246,7 @@ def transfer_matrix_stack(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
 def to_json_dict(t: TransferMatrix) -> dict:
     """JSON-ready dict; float values survive a round trip bit-exactly."""
     return {
-        "n": t.n,
-        "labels": list(t.labels),
+        "n": len(MESSAGE_LABELS),
+        "labels": list(MESSAGE_LABELS),
         "p": [[float(v) for v in row] for row in t.probabilities],
     }

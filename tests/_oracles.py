@@ -137,6 +137,70 @@ def blahut_arimoto(p: np.ndarray, tol_bits: float = 1e-10,
     return capacity, r, iterations, converged
 
 
+# --- closed-form channels ----------------------------------------------------
+# p[y, x] written from the physics of each imperfection, with no Bell-ket,
+# encoding or pair table: messages are indexed Phi+, Phi-, Psi+, Psi-.
+
+def pair_flip_probability(eps_theta: float, eps_phi: float) -> float:
+    """Probability that a tilted, phased pair is read as its sign partner.
+
+    The pair cos(pi/4 + t)|a> - e^(i p) sin(pi/4 + t)|b> keeps a share
+    |cos(pi/4 + t) + e^(i p) sin(pi/4 + t)|^2 / 2 = (1 + cos 2t cos p)/2
+    of the ideal (|a> - |b>)/sqrt(2); the rest is the Bell state of the
+    opposite sign, which every encoding and the readout carry to the
+    message of the opposite sign: Phi+ <-> Phi- and Psi+ <-> Psi-.
+    """
+    return (1.0 - math.cos(2.0 * eps_theta) * math.cos(eps_phi)) / 2.0
+
+
+def _swap_channel(q: float, swapped) -> np.ndarray:
+    """Identity, except that each message x in swapped is read as its sign
+    partner x ^ 1 (0 <-> 1, 2 <-> 3) with probability q."""
+    p = np.eye(4)
+    for x in swapped:
+        partner = x ^ 1
+        p[x, x], p[partner, x] = 1.0 - q, q
+    return p
+
+
+def source_channel(eps_theta_spin: float, eps_phi_spin: float, lambda_spin: float,
+                   eps_theta_orbit: float, eps_phi_orbit: float,
+                   lambda_orbit: float, accidental_fraction: float = 0.0) -> np.ndarray:
+    """Channel of a source with tilt, phase and white noise on each degree
+    of freedom, an ideal analyzer and an accidental floor.
+
+    Each pair's sign flips on its own, and the message's sign flips when
+    exactly one of them does: q = q_s (1 - q_o) + q_o (1 - q_s).  A white
+    noise weight lam leaves a uniformly random message with probability
+    lam, so it maps p to (1 - lam) p + lam / 4; accidentals act the same way.
+    """
+    q_s = pair_flip_probability(eps_theta_spin, eps_phi_spin)
+    q_o = pair_flip_probability(eps_theta_orbit, eps_phi_orbit)
+    p = _swap_channel(q_s * (1.0 - q_o) + q_o * (1.0 - q_s), range(4))
+    for lam in (lambda_spin, lambda_orbit, accidental_fraction):
+        p = (1.0 - lam) * p + lam / 4.0
+    return p
+
+
+def pbs_phase_channel(phi1: float, phi2: float) -> np.ndarray:
+    """Channel of the ideal source through PBS reflection phases alone.
+
+    They put a relative phase phi1 + phi2 between the two terms of a Phi
+    message, so Phi+ <-> Phi- with probability |1 - e^(i(phi1 + phi2))|^2
+    / 4 = sin^2((phi1 + phi2)/2); a Psi message keeps to its own pairs.
+    """
+    return _swap_channel(math.sin(0.5 * (phi1 + phi2)) ** 2, (0, 1))
+
+
+def symmetric_capacity(p: np.ndarray) -> float:
+    """Capacity in bits of a 4-message channel whose rows are permutations
+    of one another, and so are its columns: log2 4 - H(row), reached by
+    the uniform input (Cover & Thomas, 2nd ed., sec. 7.2)."""
+    row = np.asarray(p, dtype=float)[0]
+    row = row[row > 0.0]
+    return float(2.0 + np.sum(row * np.log2(row)))
+
+
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T

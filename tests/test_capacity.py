@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hyperdense import capacity as cap
 from hyperdense import optics, states
-from hyperdense.optics import AccidentalModel, GateParams, TransferMatrix
+from hyperdense.optics import AccidentalModel, GateParams
 from hyperdense.states import SourceParams, build_source_stack
 
 from _oracles import (
@@ -187,11 +187,21 @@ def test_capacity_vs_grid_search_small_channels():
 def test_capacity_iteration_cap_flags_nonconvergence():
     # symmetric channels close the duality gap on the very first pass, so a
     # skewed channel is needed to observe the iteration cap taking effect
-    t = TransferMatrix(np.array([[0.90, 0.30], [0.10, 0.70]]), labels=("a", "b"))
+    t = np.array([[0.90, 0.30], [0.10, 0.70]])
     result = cap.channel_capacity(t, tol_bits=1e-14, max_iterations=1)
     assert not result.converged
     assert result.iterations == 1
     assert result.capacity_bits <= cap.channel_capacity(t).capacity_bits + 1e-12
+
+
+def test_empty_stack_returns_at_once(monkeypatch):
+    # no channel is open, so no step may run, let alone max_iterations of them
+    def no_step(*args):
+        raise AssertionError("an empty stack took a step")
+
+    monkeypatch.setattr(cap, "_step", no_step)
+    out = cap.channel_capacity_stack(np.zeros((0, 4, 4)))
+    assert [v.shape for v in out] == [(0,), (0, 4), (0,), (0,), (0,)]
 
 
 def test_capped_solve_returns_the_point_it_reports():
@@ -316,12 +326,12 @@ def test_snr_per_message():
 
 
 def test_bound_lower_4_structure():
-    assert np.allclose(cap.bound_channel(4, "lower", 1.0).probabilities, np.eye(4),
+    assert np.allclose(cap.bound_channel(4, "lower", 1.0), np.eye(4),
                        atol=1e-15)
     quarter = cap.bound_channel(4, "lower", 0.25)
-    assert np.allclose(quarter.probabilities, 0.25, atol=1e-15)
+    assert np.allclose(quarter, 0.25, atol=1e-15)
     assert abs(cap.channel_capacity(quarter).capacity_bits) < 1e-9
-    t = cap.bound_channel(4, "lower", 0.948).probabilities
+    t = cap.bound_channel(4, "lower", 0.948)
     assert np.allclose(np.diag(t), 0.948, atol=1e-15)
     off = t[~np.eye(4, dtype=bool)]
     assert np.allclose(off, 0.052 / 3.0, atol=1e-15)
@@ -332,9 +342,9 @@ def test_bound_lower_4_structure():
 
 
 def test_bound_upper_4_structure():
-    assert np.allclose(cap.bound_channel(4, "upper", 1.0).probabilities, np.eye(4),
+    assert np.allclose(cap.bound_channel(4, "upper", 1.0), np.eye(4),
                        atol=1e-15)
-    t = cap.bound_channel(4, "upper", 0.948).probabilities
+    t = cap.bound_channel(4, "upper", 0.948)
     assert np.allclose(np.diag(t), [0.896, 0.896, 1.0, 1.0], atol=1e-12)
     assert abs(t[0, 1] - 0.104) < 1e-12 and abs(t[1, 0] - 0.104) < 1e-12
     assert np.max(np.abs(t[2:, :2])) == 0.0 and np.max(np.abs(t[:2, 2:])) == 0.0
@@ -344,8 +354,7 @@ def test_bound_upper_4_structure():
 
 def test_bound_3_structure():
     t = cap.bound_channel(3, "lower", 1.0)
-    assert t.labels == ("S1", "S2", "S3")
-    assert np.allclose(t.probabilities, np.eye(3), atol=1e-15)
+    assert np.allclose(t, np.eye(3), atol=1e-15)
     assert abs(cap.channel_capacity(t).capacity_bits - math.log2(3.0)) < 1e-9
     third = cap.bound_channel(3, "lower", 1.0 / 3.0)
     assert abs(cap.channel_capacity(third).capacity_bits) < 1e-9

@@ -184,7 +184,7 @@ def test_bound_curves_match_oracle():
         for which in ("lower", "upper"):
             curve = bound_curve(encoding, which, resolution=50)
             for p_s, c in curve:
-                channel = bound_channel(encoding, which, p_s).probabilities
+                channel = bound_channel(encoding, which, p_s)
                 assert c == blahut_arimoto(channel)[0]
 
 

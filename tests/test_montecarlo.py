@@ -10,6 +10,8 @@ from hyperdense.capacity import channel_capacity
 from hyperdense.optics import DEFAULT_ACCIDENTAL_FRACTION, GateParams, transfer_matrix
 from hyperdense.states import SourceParams
 
+from _oracles import source_channel, symmetric_capacity
+
 
 def test_standard_normals_are_deterministic():
     a = mc._standard_normals(7, 3, 9)
@@ -324,3 +326,18 @@ def test_result_json_dict_and_table():
     table = mc.render_table([r], budget)
     assert "naive budget" in table
     assert "joint simulation" in table
+
+
+def test_symmetric_builtins_match_the_closed_form_capacity():
+    # run mixes accidentals into its stacked matrices itself: this checks
+    # that mix, and the whole stacked path, against the closed form
+    for name in ("spin", "orbit", "accidentals"):
+        scenario = mc.builtin_scenario(name)
+        result = mc.run(scenario)
+        for i in range(scenario.iterations):
+            d = mc.sample_params(scenario, i)
+            p = source_channel(d.eps_theta_spin, d.eps_phi_spin, d.lambda_spin,
+                               d.eps_theta_orbit, d.eps_phi_orbit, d.lambda_orbit,
+                               d.accidental_fraction)
+            assert abs(result.capacity_bits[i] - symmetric_capacity(p)) <= 1e-10, (name, i)
+            assert abs(result.success_probability[i] - np.trace(p) / 4.0) < 1e-14

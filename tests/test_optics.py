@@ -5,10 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperdense import cli, optics, states
 from hyperdense.optics import AccidentalModel, GateParams, TransferMatrix
 from hyperdense.states import Message, SourceParams, SpinOrbitBellLabel
+
+from _oracles import pair_flip_probability, pbs_phase_channel, source_channel
 
 _DEG = math.pi / 180.0
 _SQRT2 = math.sqrt(2.0)
@@ -225,7 +229,7 @@ def test_transfer_matrix_validation():
     with pytest.raises(ValueError, match="finite"):
         TransferMatrix(np.full((4, 4), np.nan))
     with pytest.raises(ValueError, match="empty"):
-        TransferMatrix(np.zeros((0, 0)), labels=())
+        optics.check_channel(np.zeros((0, 0)))
 
 
 def test_check_channel_takes_stacks_and_reports_the_largest_deviation():
@@ -268,11 +272,62 @@ def test_serialization_round_trips_bit_exact():
     t = optics.apply_accidentals(t, AccidentalModel(0.00267))
 
     back = json.loads(json.dumps(optics.to_json_dict(t)))
-    assert back["labels"] == list(t.labels)
+    assert back["labels"] == list(optics.MESSAGE_LABELS)
     assert np.array_equal(back["p"], t.probabilities)
 
     rows = cli._matrix_csv(t, {}).splitlines()
-    assert rows[0].split(",")[1:] == [f"sent_{lab}" for lab in t.labels]
-    assert [r.split(",")[0] for r in rows[1:]] == list(t.labels)
+    assert rows[0].split(",")[1:] == [f"sent_{lab}" for lab in optics.MESSAGE_LABELS]
+    assert [r.split(",")[0] for r in rows[1:]] == list(optics.MESSAGE_LABELS)
     back = np.array([[float(c) for c in r.split(",")[1:]] for r in rows[1:]])
     assert np.array_equal(back, t.probabilities)
+
+
+# --- closed-form channels ----------------------------------------------------
+
+_SOURCE_SETTING = st.tuples(
+    st.floats(-math.pi / 2, math.pi / 2), st.floats(-math.pi, math.pi), st.floats(0.0, 1.0),
+    st.floats(-math.pi / 2, math.pi / 2), st.floats(-math.pi, math.pi), st.floats(0.0, 1.0))
+_PHASES = st.tuples(st.floats(-2 * math.pi, 2 * math.pi),
+                    st.floats(-2 * math.pi, 2 * math.pi))
+
+
+def test_closed_forms_at_hand_worked_points():
+    assert abs(pair_flip_probability(0.3, 0.7) - 0.184374) < 1e-6
+    noisy = source_channel(0.0, 0.0, 0.2, 0.0, 0.0, 0.0)
+    assert np.allclose(np.diag(noisy), 0.85, rtol=0, atol=1e-15)
+    assert abs(pbs_phase_channel(0.4, 0.5)[1, 0] - 0.189195) < 1e-6
+    assert np.array_equal(pbs_phase_channel(0.4, 0.5)[2:, 2:], np.eye(2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_SOURCE_SETTING, min_size=1, max_size=8),
+       st.floats(0.0, 0.99))
+def test_source_channels_match_the_closed_form(settings_list, fraction):
+    # an ideal gate: every flip and noise floor comes from the source
+    n = len(settings_list)
+    p = optics.transfer_matrix_stack(
+        states.build_source_stack(*np.array(settings_list).T),
+        optics.analyzer_unitary_stack(*np.zeros((4, n))))
+    for k, setting in enumerate(settings_list):
+        want = source_channel(*setting)
+        assert np.max(np.abs(p[k] - want)) < 1e-14
+        t = optics.transfer_matrix(SourceParams(*setting))
+        assert np.max(np.abs(t.probabilities - want)) < 1e-14
+        mixed = optics.apply_accidentals(t, AccidentalModel(fraction))
+        assert np.max(np.abs(mixed.probabilities
+                             - source_channel(*setting, fraction))) < 1e-14
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_PHASES, min_size=1, max_size=8))
+def test_pbs_phase_channels_match_the_closed_form(phases):
+    n = len(phases)
+    phi1, phi2 = np.array(phases).T
+    p = optics.transfer_matrix_stack(
+        states.build_source_stack(*np.zeros((6, n))),
+        optics.analyzer_unitary_stack(np.zeros(n), np.zeros(n), phi1, phi2))
+    for k, (a, b) in enumerate(phases):
+        want = pbs_phase_channel(a, b)
+        assert np.max(np.abs(p[k] - want)) < 1e-14
+        t = optics.transfer_matrix(gate=GateParams(phi1=a, phi2=b))
+        assert np.max(np.abs(t.probabilities - want)) < 1e-14
