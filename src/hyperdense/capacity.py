@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optics import TransferMatrix, check_channel
-from .states import MESSAGES, PAIR_MESSAGES
+from .states import MESSAGES, PAIR_SIGNATURES
 
 _LN2 = math.log(2.0)
 
@@ -226,15 +226,14 @@ def snr_per_message(counts) -> list:
         raise ValueError(f"counts table must be 4x16, got {c.shape}")
     if not np.all(np.isfinite(c)) or c.min() < 0.0:
         raise ValueError("counts must be finite and non-negative")
+    signal = np.diagonal(c @ PAIR_SIGNATURES)
     out = []
     for m in MESSAGES:
-        row = c[m]
-        total = row.sum()
+        total = c[m].sum()
         if total <= 0.0:
             raise ValueError(f"no counts recorded for sent message {m.label}")
-        signal = row[PAIR_MESSAGES == m].sum()
-        noise = total - signal
-        out.append(None if noise <= 0.0 else float(signal / noise))
+        noise = total - signal[m]
+        out.append(None if noise <= 0.0 else float(signal[m] / noise))
     return out
 
 

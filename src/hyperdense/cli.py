@@ -92,9 +92,8 @@ def parse_counts_csv(text: str) -> np.ndarray:
 
 def aggregate_counts(counts: np.ndarray) -> optics.TransferMatrix:
     """Collapse signature columns into a 4x4 conditional-probability matrix."""
-    p = [[counts[x][states.PAIR_MESSAGES == y].sum() / counts[x].sum()
-          for x in states.MESSAGES] for y in states.MESSAGES]
-    return optics.TransferMatrix(p)
+    p = (counts @ states.PAIR_SIGNATURES) / counts.sum(axis=1, keepdims=True)
+    return optics.TransferMatrix(p.T)
 
 
 def _json_text(obj) -> str:
@@ -117,14 +116,14 @@ def _csv_text(header, rows, notes=None) -> str:
 
 
 def _matrix_csv(t: optics.TransferMatrix, notes) -> str:
-    labels = optics.MESSAGE_LABELS
+    labels = states.MESSAGE_LABELS
     return _csv_text(["detected"] + [f"sent_{lab}" for lab in labels],
                      [[lab, *t.probabilities[y]] for y, lab in enumerate(labels)],
                      notes)
 
 
 def _matrix_table(title: str, t: optics.TransferMatrix) -> list:
-    labels = optics.MESSAGE_LABELS
+    labels = states.MESSAGE_LABELS
     lines = [title, "", "detected " + "".join(f"{lab:>12}" for lab in labels)]
     for y, lab in enumerate(labels):
         lines.append(f"{lab:<8} " +
@@ -155,9 +154,8 @@ def _capacity(t) -> cap.CapacityResult:
 def _cmd_simulate(args) -> str:
     source, gate, accidentals = (
         load_params(args.params) if args.params else _parse_params(""))
-    t = optics.transfer_matrix(source, gate)
-    if accidentals.fraction > 0.0:
-        t = optics.apply_accidentals(t, accidentals)
+    t = optics.apply_accidentals(optics.transfer_matrix(source, gate),
+                                 accidentals)
     result = _capacity(t)
     success = cap.average_success(t)
     if args.format == "json":
@@ -406,11 +404,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        text = args.handler(args)
+        _write_output(args.handler(args), args.out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write_output(text, args.out)
     return 0
 
 

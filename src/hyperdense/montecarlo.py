@@ -372,10 +372,9 @@ def run(scenario: McScenario, jobs: int = 1) -> McResult:
                                  c["eps_phi_orbit"], c["lambda_orbit"])
         u = analyzer_unitary_stack(c["eps_H"], c["eps_V"], c["phi1"], c["phi2"])
         p = transfer_matrix_stack(rho, u)
-        if "accidentals" in scenario.active:
-            # optics.apply_accidentals, per draw
-            f = c["accidental_fraction"][:, None, None]
-            p = (1.0 - f) * p + f / p.shape[1]
+        # optics.apply_accidentals, per draw; an inactive group's fraction is 0
+        f = c["accidental_fraction"][:, None, None]
+        p = (1.0 - f) * p + f / p.shape[1]
         bits, _, _, converged, _ = channel_capacity_stack(p)
         caps[start:stop] = bits
         uncertified += int(np.count_nonzero(~converged))

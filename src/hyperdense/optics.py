@@ -17,8 +17,10 @@ photons' detectors identify the encoded message.
 
 Detection reads the analyzed state in the ideal analyzer's pair basis,
 the images of the 16 spin-orbit Bell pairs.  Each pair signals one
-message (states.PAIR_MESSAGES) and the basis is complete, so every event
-is assigned to exactly one message and transfer-matrix columns sum to one.
+message and the basis is complete, so every event is assigned to exactly
+one message and transfer-matrix columns sum to one.  Both analyzers sum
+pairs into messages with the one table states.PAIR_SIGNATURES, and
+matrices are labelled by states.MESSAGE_LABELS.
 
 The PBS is written once, for stacks of gate settings, in
 analyzer_unitary_stack; analyzer_unitary is its one-setting call.
@@ -35,15 +37,14 @@ import numpy as np
 from .states import (
     _BELL_KETS,
     _PAIR_KETS,
+    MESSAGE_LABELS,
     MESSAGES,
-    PAIR_MESSAGES,
+    PAIR_SIGNATURES,
     SourceParams,
     build_source,
     encode,
     encoding_operator,
 )
-
-MESSAGE_LABELS = tuple(m.label for m in MESSAGES)
 
 DEFAULT_ACCIDENTAL_FRACTION = 0.00267
 
@@ -107,7 +108,7 @@ class TransferMatrix:
 
     probabilities[y, x] is the probability of assigning message y when
     message x was sent, both indexed Phi+, Phi-, Psi+, Psi- (the order of
-    MESSAGE_LABELS); columns sum to one.
+    states.MESSAGE_LABELS); columns sum to one.
     """
 
     probabilities: np.ndarray
@@ -138,10 +139,8 @@ def two_photon_gate(gate: GateParams) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _pair_readout():
-    # row k: bra of Bell pair k after the ideal analyzer; signatures[k, m] = 1
-    # when pair k signals m
-    readout = _PAIR_KETS.conj() @ two_photon_gate(GateParams()).conj().T
-    return readout, np.eye(4)[PAIR_MESSAGES]
+    # row k: bra of Bell pair k after the ideal analyzer
+    return _PAIR_KETS.conj() @ two_photon_gate(GateParams()).conj().T
 
 
 def transfer_matrix(source: SourceParams = SourceParams(),
@@ -156,12 +155,12 @@ def transfer_matrix(source: SourceParams = SourceParams(),
     """
     rho_source = build_source(source)
     u = two_photon_gate(gate)
-    readout, signatures = _pair_readout()
+    readout = _pair_readout()
     p = np.zeros((4, 4))
     for x in MESSAGES:
         analyzed = u @ encode(rho_source, x) @ u.conj().T
         pairs = np.einsum("ki,ij,kj->k", readout, analyzed, readout.conj())
-        p[:, x] = pairs.real @ signatures
+        p[:, x] = pairs.real @ PAIR_SIGNATURES
     p = np.clip(check_channel(p), 0.0, None)
     p /= p.sum(axis=0, keepdims=True)
     return TransferMatrix(p)
@@ -199,9 +198,7 @@ def analyzer_unitary_stack(eps_H, eps_V, phi1, phi2) -> np.ndarray:
 def _heisenberg_constants():
     readout = _BELL_KETS.conj() @ analyzer_unitary(GateParams()).conj().T
     encodings = np.array([encoding_operator(m)[:4, :4] for m in MESSAGES])
-    # signatures[l2*4 + l1, m] = 1 when the pair (l1, l2) signals m
-    signatures = np.eye(4)[PAIR_MESSAGES.reshape(4, 4).T.ravel()]
-    return readout, encodings, signatures
+    return readout, encodings
 
 
 def _outer_rows(a: np.ndarray) -> np.ndarray:
@@ -222,10 +219,10 @@ def transfer_matrix_stack(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     so its 16 pair probabilities are diag(W_x rho W_x+).  Photon 1 is
     contracted once, photon 2 once per message, each as a product with
     the outer products of 4-entry rows; pairs are then summed by
-    states.PAIR_MESSAGES, and columns get the same check, clip and
+    states.PAIR_SIGNATURES, and columns get the same check, clip and
     renormalization guard as transfer_matrix.
     """
-    readout, encodings, signatures = _heisenberg_constants()
+    readout, encodings = _heisenberg_constants()
     n = len(u)
     a = readout @ u
     # rho[(a1, b1), (a2, b2)]: photon-1 indices first
@@ -235,7 +232,8 @@ def transfer_matrix_stack(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     # photon 2, C_x = A k_x: pairs[(x, l2), l1] = sum C_x[l2, a2] C_x*[l2, b2] t[l1, (a2, b2)]
     c = (a[:, None] @ encodings).reshape(n, 16, 4)
     pairs = (_outer_rows(c) @ t.transpose(0, 2, 1)).real
-    p = (pairs.reshape(n, 4, 16) @ signatures).transpose(0, 2, 1)
+    # pairs are (l2, l1)-major; the table still fits, as message_of_pair is symmetric
+    p = (pairs.reshape(n, 4, 16) @ PAIR_SIGNATURES).transpose(0, 2, 1)
     p = np.clip(check_channel(p), 0.0, None)
     p /= p.sum(axis=1, keepdims=True)
     return p

@@ -25,7 +25,9 @@ Single-photon spin-orbit Bell states, used as the analysis basis:
 Each encoded two-photon state is supported on exactly four of the 16
 spin-orbit pair products, with amplitudes of magnitude 1/2; the pair
 sets partition the 16 products into the four messages (message_of_pair,
-tabulated as PAIR_MESSAGES).
+tabulated as PAIR_MESSAGES and, one-hot, as PAIR_SIGNATURES, the one
+pair-to-message table that both analyzers, the counts aggregation and
+the SNR read).  MESSAGE_LABELS is the one tuple of message labels.
 
 The source model is written once, for stacks of settings: the model kets,
 build_source and ideal_source are one-setting calls of build_source_stack.
@@ -45,7 +47,7 @@ _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-_MESSAGE_LABELS = ("Phi+", "Phi-", "Psi+", "Psi-")
+MESSAGE_LABELS = ("Phi+", "Phi-", "Psi+", "Psi-")
 
 
 class Message(enum.IntEnum):
@@ -58,14 +60,14 @@ class Message(enum.IntEnum):
 
     @property
     def label(self) -> str:
-        return _MESSAGE_LABELS[self]
+        return MESSAGE_LABELS[self]
 
     @classmethod
     def from_label(cls, label: str) -> "Message":
-        if label not in _MESSAGE_LABELS:
+        if label not in MESSAGE_LABELS:
             raise ValueError(f"unknown message label {label!r}, expected one "
-                             f"of {list(_MESSAGE_LABELS)}")
-        return cls(_MESSAGE_LABELS.index(label))
+                             f"of {list(MESSAGE_LABELS)}")
+        return cls(MESSAGE_LABELS.index(label))
 
 
 MESSAGES = tuple(Message)
@@ -257,4 +259,7 @@ def message_of_pair(label1: SpinOrbitBellLabel,
 # PAIR_MESSAGES[l1*4 + l2] is message_of_pair(l1, l2): one entry per
 # canonical Bell-pair column (photon-1 label major).
 PAIR_MESSAGES = np.array([message_of_pair(l1, l2) for l1, l2 in BELL_PAIRS])
+# PAIR_SIGNATURES[k, m] = 1 when canonical pair column k signals message m,
+# so counts @ PAIR_SIGNATURES sums each message's four pairs.
+PAIR_SIGNATURES = np.eye(4)[PAIR_MESSAGES]
 

@@ -114,6 +114,15 @@ def test_simulate_bad_params_file(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("out", [".", "missing/out.json"])
+def test_unwritable_out_path_is_an_error(capsys, tmp_path, out):
+    # a directory, and a file in a directory that does not exist
+    rc, stdout, err = run_cli(capsys, "simulate", "--out", str(tmp_path / out))
+    assert rc == 2
+    assert stdout == ""
+    assert err.startswith("error:")
+
+
 @pytest.mark.parametrize("option, text, message", [
     ("--params", "gate.eps_H = 0.005\nsource.lambda_spin = nan\n",
      "line 2: source.lambda_spin must be finite, got 'nan'"),

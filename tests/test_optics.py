@@ -92,7 +92,7 @@ def test_two_photon_gate():
 
 
 def test_pair_readout_is_complete():
-    readout, signatures = optics._pair_readout()
+    readout, signatures = optics._pair_readout(), states.PAIR_SIGNATURES
     assert np.allclose(readout @ readout.conj().T, np.eye(16), atol=1e-12)
     assert signatures.shape == (16, 4)
     assert np.array_equal(signatures.sum(axis=0), [4, 4, 4, 4])
@@ -215,6 +215,17 @@ def test_apply_accidentals():
     assert np.allclose(np.diag(t.probabilities), 0.9979975, atol=1e-12)
     assert abs(np.mean(np.diag(t.probabilities)) - 0.998) < 1e-4
 
+    # simulate and montecarlo mix even at fraction 0, so it must be the
+    # identity, also on the exact zeros of the ideal channel
+    rng = np.random.default_rng(31)
+    sources = [SourceParams()] + [SourceParams(*rng.uniform(0.0, 0.3, 6))
+                                  for _ in range(20)]
+    for source in sources:
+        t = optics.transfer_matrix(source, _random_gate(rng))
+        assert np.array_equal(
+            optics.apply_accidentals(t, AccidentalModel(0.0)).probabilities,
+            t.probabilities)
+
 
 def test_transfer_matrix_validation():
     with pytest.raises(ValueError, match="4x4"):
@@ -241,19 +252,12 @@ def test_check_channel_takes_stacks_and_reports_the_largest_deviation():
 
 
 def test_incomplete_detection_fails_in_both_analyzers(monkeypatch):
-    # one message's signature column scaled by 1.1 in both analyzers' tables:
-    # its row no longer completes the columns, and neither analyzer may
-    # renormalize that away
-    readout, encodings, signatures = optics._heisenberg_constants()
-    signatures = signatures.copy()
+    # one message's column of the one signature table, which both analyzers
+    # read, scaled by 1.1: its row no longer completes the columns, and
+    # neither analyzer may renormalize that away
+    signatures = states.PAIR_SIGNATURES.copy()
     signatures[:, 1] *= 1.1
-    pair_readout, pair_signatures = optics._pair_readout()
-    pair_signatures = pair_signatures.copy()
-    pair_signatures[:, 1] *= 1.1
-    monkeypatch.setattr(optics, "_heisenberg_constants",
-                        lambda: (readout, encodings, signatures))
-    monkeypatch.setattr(optics, "_pair_readout",
-                        lambda: (pair_readout, pair_signatures))
+    monkeypatch.setattr(optics, "PAIR_SIGNATURES", signatures)
     match = "columns must sum to 1 within 1e-9, largest deviation"
     with pytest.raises(ValueError, match=match):
         optics.transfer_matrix(SourceParams(lambda_spin=0.5, lambda_orbit=0.5))
@@ -272,12 +276,12 @@ def test_serialization_round_trips_bit_exact():
     t = optics.apply_accidentals(t, AccidentalModel(0.00267))
 
     back = json.loads(json.dumps(optics.to_json_dict(t)))
-    assert back["labels"] == list(optics.MESSAGE_LABELS)
+    assert back["labels"] == list(states.MESSAGE_LABELS)
     assert np.array_equal(back["p"], t.probabilities)
 
     rows = cli._matrix_csv(t, {}).splitlines()
-    assert rows[0].split(",")[1:] == [f"sent_{lab}" for lab in optics.MESSAGE_LABELS]
-    assert [r.split(",")[0] for r in rows[1:]] == list(optics.MESSAGE_LABELS)
+    assert rows[0].split(",")[1:] == [f"sent_{lab}" for lab in states.MESSAGE_LABELS]
+    assert [r.split(",")[0] for r in rows[1:]] == list(states.MESSAGE_LABELS)
     back = np.array([[float(c) for c in r.split(",")[1:]] for r in rows[1:]])
     assert np.array_equal(back, t.probabilities)
 

@@ -1,5 +1,5 @@
 """Checks on the package as a whole: docstrings, the README's knob table and
-the benchmark's traced names."""
+API sketch, and the benchmark's traced names."""
 
 from __future__ import annotations
 
@@ -47,6 +47,14 @@ def test_readme_knob_table_is_params():
         assert (None if budget == "none" else mc.ParamDistribution(
             *(float(v) for v in budget.split("±")))) == p.budget, key
         assert float(default) == p.default, key
+
+
+def test_readme_api_sketch_runs(capsys):
+    # the sketch teaches where public names live: in their modules
+    text = README.read_text(encoding="utf-8")
+    sketch = text.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(sketch, str(README), "exec"), {})
+    assert 1.5 < float(capsys.readouterr().out) < 2.0
 
 
 def test_traced_benchmark_names_resolve_to_callables():

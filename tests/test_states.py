@@ -236,4 +236,7 @@ def test_pair_messages_partition_and_match_decomposition():
     for l1, l2 in seen:
         m = states.message_of_pair(l1, l2)
         assert states.PAIR_MESSAGES[l1 * 4 + l2] == m
+    # the engine reads its (l2, l1)-major pairs with the same table
+    table = states.PAIR_MESSAGES.reshape(4, 4)
+    assert np.array_equal(table, table.T)
 
