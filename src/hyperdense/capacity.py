@@ -21,14 +21,12 @@ pair and keeps the other n - 2 symbols noiseless.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .optics import TransferMatrix, check_channel
-from .states import MESSAGES, PAIR_SIGNATURES
+from .states import MESSAGES, PAIR_SIGNATURES, _number
 
 _LN2 = math.log(2.0)
 
@@ -153,13 +151,10 @@ def channel_capacity_stack(p, tol_bits: float = 1e-10,
     of shape (n,), (n, m), (n,), (n,) and (n,); the channels are not
     checked.
     """
-    tol_ok = (not isinstance(tol_bits, bool) and isinstance(tol_bits, numbers.Real)
-              and math.isfinite(tol_bits) and tol_bits > 0.0)
-    cap_ok = (not isinstance(max_iterations, bool) and hasattr(max_iterations, "__index__")
-              and operator.index(max_iterations) >= 1)
-    if not (tol_ok and cap_ok):
-        raise ValueError("tol_bits must be finite and positive and max_iterations "
-                         f"at least 1, got {tol_bits!r} and {max_iterations!r}")
+    tol_bits = _number("tol_bits", tol_bits)
+    if tol_bits <= 0.0:
+        raise ValueError(f"tol_bits must be positive, got {tol_bits}")
+    max_iterations = _number("max_iterations", max_iterations, 1, kind=int)
     # w[k, x, y] = p(y | x), a view of p in C order whatever order p came in:
     # numpy's sums and products round by memory layout, so this keeps a
     # channel's result independent of the stack it is solved in
@@ -239,10 +234,13 @@ def snr_per_message(counts) -> list:
 
 # --- bound curves -----------------------------------------------------------
 
-def _check_curve(encoding: int, which: str) -> None:
+def _check_curve(encoding: int, which: str) -> int:
+    """encoding as an int; ValueError unless (encoding, which) names a curve."""
+    encoding = _number("encoding", encoding, kind=int)
     if encoding not in (3, 4) or which not in ("lower", "upper"):
         raise ValueError(f"unknown curve ({encoding!r}, {which!r}); encoding must "
                          "be 3 or 4 and which must be 'lower' or 'upper'")
+    return encoding
 
 
 def bound_channel(encoding: int, which: str, p_s: float) -> np.ndarray:
@@ -254,11 +252,8 @@ def bound_channel(encoding: int, which: str, p_s: float) -> np.ndarray:
     "upper": a binary symmetric pair with diagonal (n*p_s - n + 2)/2, then
     n - 2 noiseless symbols; p_s in [(n - 2)/n, 1].
     """
-    _check_curve(encoding, which)
-    n = encoding
-    lo = 1.0 / n if which == "lower" else (n - 2) / n
-    if not lo <= p_s <= 1.0:
-        raise ValueError(f"p_s must lie in [{lo:.6g}, 1], got {p_s}")
+    n = _check_curve(encoding, which)
+    p_s = _number("p_s", p_s, 1.0 / n if which == "lower" else (n - 2) / n, 1)
     if which == "lower":
         p = np.full((n, n), (1.0 - p_s) / (n - 1))
         np.fill_diagonal(p, p_s)
@@ -278,10 +273,8 @@ def bound_curve(encoding: int, which: str, resolution: int = 50) -> np.ndarray:
     start at p_s = 1/n (uniform output, zero capacity), upper curves at
     p_s = (n - 1)/n, where the noisy pair carries nothing.
     """
-    if not 2 <= resolution <= MAX_RESOLUTION:
-        raise ValueError(f"resolution must lie in [2, {MAX_RESOLUTION}], "
-                         f"got {resolution}")
-    _check_curve(encoding, which)
+    resolution = _number("resolution", resolution, 2, MAX_RESOLUTION, kind=int)
+    encoding = _check_curve(encoding, which)
     start = 1.0 / encoding if which == "lower" else (encoding - 1) / encoding
     ps = np.linspace(start, 1.0, resolution)
     caps = channel_capacity_stack(

@@ -22,8 +22,6 @@ converted to radians in _to_fields.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -36,7 +34,7 @@ from .optics import (
     analyzer_unitary_stack,
     transfer_matrix_stack,
 )
-from .states import SourceParams, build_source_stack
+from .states import SourceParams, _number, build_source_stack
 
 IDEAL_CAPACITY_BITS = 2.0
 
@@ -55,12 +53,7 @@ class ParamDistribution:
 
     def __post_init__(self):
         for name in ("mean", "sigma"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {v!r}")
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, _number(name, getattr(self, name)))
         if self.sigma < 0.0:
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
 
@@ -127,10 +120,11 @@ def parse_key_values(text: str, keys: dict, build):
     ``keys`` maps every valid key to its converter (str, int or float),
     and ``build`` makes a record from {key: converted value}, missing keys
     at their defaults.  A line is valid when the record built from that
-    line alone is: each line is checked by ``build({key: value})``.  Blank
-    lines and #-comments are ignored.  An unknown or repeated key, a value
-    the converter rejects, a NaN or infinite number and a value that
-    ``build`` rejects with ValueError are errors that name the line.
+    line alone is: each line is checked by ``build({key: value})``, whose
+    records reject a NaN or infinite number.  Blank lines and #-comments are
+    ignored.  An unknown or repeated key, a value the converter rejects and
+    a value that ``build`` rejects with ValueError are errors that name the
+    line.
     """
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -150,8 +144,6 @@ def parse_key_values(text: str, keys: dict, build):
         except ValueError:
             raise ValueError(f"line {lineno}: {key}: cannot read {value!r} "
                              f"as {keys[key].__name__}") from None
-        if isinstance(v, float) and not math.isfinite(v):
-            raise ValueError(f"line {lineno}: {key} must be finite, got {value!r}")
         try:
             build({key: v})
         except ValueError as exc:
@@ -243,14 +235,7 @@ class McScenario:
             if not isinstance(d, ParamDistribution):
                 raise ValueError(f"{key} must be a ParamDistribution, got {d!r}")
         for name in ("iterations", "seed"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not hasattr(v, "__index__"):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-            v = operator.index(v)
-            lo, hi = _INT_RANGES[name]
-            if not lo <= v <= hi:
-                raise ValueError(f"{name} must lie in [{lo}, {hi}], got {v}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _number(name, getattr(self, name), *_INT_RANGES[name], kind=int))
 
 
 def default_scenarios() -> list:
@@ -356,10 +341,10 @@ def run(scenario: McScenario, jobs: int = 1) -> McResult:
     Each block is sampled as columns and goes through one stacked analyzer
     (the single-point matrices up to rounding) and one stacked capacity
     solve (channel_capacity's bits exactly).  ``jobs`` is accepted and
-    must be positive, but does not change how iterations run.
+    must be a positive integer (ValueError otherwise), but does not change
+    how iterations run.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be positive, got {jobs}")
+    _number("jobs", jobs, 1, kind=int)
     n = scenario.iterations
     caps = np.empty(n)
     succ = np.empty(n)

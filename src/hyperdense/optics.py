@@ -28,8 +28,7 @@ analyzer_unitary_stack; analyzer_unitary is its one-setting call.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -41,6 +40,7 @@ from .states import (
     MESSAGES,
     PAIR_SIGNATURES,
     SourceParams,
+    _number,
     build_source,
     encode,
     encoding_operator,
@@ -59,13 +59,9 @@ class GateParams:
     phi2: float = 0.0
 
     def __post_init__(self):
-        for name in ("eps_H", "eps_V"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        for name in ("phi1", "phi2"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        for f in fields(self):
+            bounds = (0, 1) if f.name.startswith("eps") else ()
+            object.__setattr__(self, f.name, _number(f.name, getattr(self, f.name), *bounds))
 
 
 @dataclass(frozen=True)
@@ -79,9 +75,9 @@ class AccidentalModel:
     fraction: float = DEFAULT_ACCIDENTAL_FRACTION
 
     def __post_init__(self):
+        object.__setattr__(self, "fraction", _number("accidental fraction", self.fraction))
         if not 0.0 <= self.fraction < 1.0:
-            raise ValueError(
-                f"accidental fraction must lie in [0, 1), got {self.fraction}")
+            raise ValueError(f"accidental fraction must lie in [0, 1), got {self.fraction}")
 
 
 def check_channel(p) -> np.ndarray:

@@ -29,8 +29,11 @@ tabulated as PAIR_MESSAGES and, one-hot, as PAIR_SIGNATURES, the one
 pair-to-message table that both analyzers, the counts aggregation and
 the SNR read).  MESSAGE_LABELS is the one tuple of message labels.
 
-The source model is written once, for stacks of settings: the model kets,
-build_source and ideal_source are one-setting calls of build_source_stack.
+The source model is written once, for stacks of settings: the model kets
+and build_source are one-setting calls of build_source_stack.
+
+_number is the one check of a scalar knob, shared by every record, file
+line and solver argument of the package.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import numbers
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -48,6 +53,27 @@ _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 MESSAGE_LABELS = ("Phi+", "Phi-", "Psi+", "Psi-")
+
+
+def _number(name: str, value, lo=-math.inf, hi=math.inf, kind=float):
+    """value as a float, or as an int with kind=int, checked to lie in [lo, hi].
+
+    ValueError, naming ``name``, for a bool, a value that is not a real
+    number (not an integer, with kind=int), a NaN or infinite float and a
+    value out of range.
+    """
+    if kind is int:
+        ok, wanted = hasattr(value, "__index__"), "an integer"
+    else:
+        ok, wanted = isinstance(value, numbers.Real), "a real number"
+    if isinstance(value, bool) or not ok:
+        raise ValueError(f"{name} must be {wanted}, got {value!r}")
+    v = operator.index(value) if kind is int else float(value)
+    if kind is float and not math.isfinite(v):
+        raise ValueError(f"{name} must be finite, got {v}")
+    if not lo <= v <= hi:
+        raise ValueError(f"{name} must lie in [{lo}, {hi}], got {v}")
+    return v
 
 
 class Message(enum.IntEnum):
@@ -125,14 +151,9 @@ class SourceParams:
     lambda_orbit: float = 0.0
 
     def __post_init__(self):
-        for name in ("eps_theta_spin", "eps_phi_spin", "eps_theta_orbit",
-                     "eps_phi_orbit"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        for name in ("lambda_spin", "lambda_orbit"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+        for f in fields(self):
+            bounds = (0, 1) if f.name.startswith("lambda") else ()
+            object.__setattr__(self, f.name, _number(f.name, getattr(self, f.name), *bounds))
 
 
 # (first, last, sign): the ket cos(pi/4+t)|first> + sign e^(i p) sin(pi/4+t)|last>
@@ -161,11 +182,6 @@ def model_orbit_state(eps_theta: float, eps_phi: float) -> np.ndarray:
 def _interleave_ket(psi: np.ndarray) -> np.ndarray:
     # (s1, s2, o1, o2) -> (s1, o1, s2, o2)
     return psi.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(16)
-
-
-def ideal_source() -> np.ndarray:
-    """Density matrix of the perfect hyperentangled source (pure, 16x16)."""
-    return build_source(SourceParams())
 
 
 def build_source(params: SourceParams) -> np.ndarray:

@@ -55,24 +55,24 @@ def test_raw_channels_are_checked():
         cap.channel_capacity(np.zeros((0, 0)))
 
 
-@pytest.mark.parametrize("knobs", [{"max_iterations": 0},
-                                   {"max_iterations": -1},
-                                   {"tol_bits": math.nan},
-                                   {"tol_bits": math.inf},
-                                   {"tol_bits": 0.0},
-                                   {"tol_bits": -1.0},
-                                   {"max_iterations": 2.5},
-                                   {"max_iterations": 3.0},
-                                   {"max_iterations": True},
-                                   {"tol_bits": True}],
-                         ids=["zero-iterations", "negative-iterations", "nan-tol",
-                              "inf-tol", "zero-tol", "negative-tol",
-                              "fractional-iterations", "float-iterations",
-                              "bool-iterations", "bool-tol"])
-def test_solver_knobs_are_checked(knobs):
-    with pytest.raises(ValueError, match="tol_bits must be finite and positive"):
+@pytest.mark.parametrize("knobs, message", [
+    ({"max_iterations": 0}, r"max_iterations must lie in \[1, inf\], got 0"),
+    ({"max_iterations": -1}, r"max_iterations must lie in \[1, inf\], got -1"),
+    ({"tol_bits": math.nan}, "tol_bits must be finite, got nan"),
+    ({"tol_bits": math.inf}, "tol_bits must be finite, got inf"),
+    ({"tol_bits": 0.0}, "tol_bits must be positive, got 0.0"),
+    ({"tol_bits": -1.0}, "tol_bits must be positive, got -1.0"),
+    ({"max_iterations": 2.5}, "max_iterations must be an integer, got 2.5"),
+    ({"max_iterations": 3.0}, "max_iterations must be an integer, got 3.0"),
+    ({"max_iterations": True}, "max_iterations must be an integer, got True"),
+    ({"tol_bits": True}, "tol_bits must be a real number, got True"),
+], ids=["zero-iterations", "negative-iterations", "nan-tol", "inf-tol", "zero-tol",
+        "negative-tol", "fractional-iterations", "float-iterations",
+        "bool-iterations", "bool-tol"])
+def test_solver_knobs_are_checked(knobs, message):
+    with pytest.raises(ValueError, match=message):
         cap.channel_capacity(np.eye(4), **knobs)
-    with pytest.raises(ValueError, match="max_iterations at least 1"):
+    with pytest.raises(ValueError, match=message):
         cap.channel_capacity_stack(np.eye(4)[None], **knobs)
 
 
@@ -339,6 +339,10 @@ def test_bound_lower_4_structure():
         cap.bound_channel(4, "lower", 0.2)
     with pytest.raises(ValueError):
         cap.bound_channel(4, "lower", 1.1)
+    with pytest.raises(ValueError, match="encoding must be an integer, got 4.0"):
+        cap.bound_channel(4.0, "lower", 0.5)
+    with pytest.raises(ValueError, match="p_s must be a real number, got '0.5'"):
+        cap.bound_channel(4, "lower", "0.5")
 
 
 def test_bound_upper_4_structure():
@@ -464,6 +468,8 @@ def test_bound_curve():
         cap.bound_curve(4, "middle")
     with pytest.raises(ValueError):
         cap.bound_curve(4, "lower", resolution=1)
+    with pytest.raises(ValueError, match="resolution must be an integer, got 2.5"):
+        cap.bound_curve(4, "lower", 2.5)
 
 
 def test_bound_curve_resolution_has_an_upper_limit(monkeypatch):

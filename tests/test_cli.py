@@ -125,17 +125,17 @@ def test_unwritable_out_path_is_an_error(capsys, tmp_path, out):
 
 @pytest.mark.parametrize("option, text, message", [
     ("--params", "gate.eps_H = 0.005\nsource.lambda_spin = nan\n",
-     "line 2: source.lambda_spin must be finite, got 'nan'"),
+     "line 2: source.lambda_spin: lambda_spin must be finite, got nan"),
     ("--params", "gate.phi1_deg = -inf\n",
-     "line 1: gate.phi1_deg must be finite, got '-inf'"),
+     "line 1: gate.phi1_deg: phi1 must be finite, got -inf"),
     ("--params", "gate.eps_H = 0.005\ngate.eps_H = 0.006\n",
      "line 2: key 'gate.eps_H' is given twice"),
     ("--scenario", "active = source-spin\nsource.lambda_spin.sigma = inf\n",
-     "line 2: source.lambda_spin.sigma must be finite, got 'inf'"),
+     "line 2: source.lambda_spin.sigma: sigma must be finite, got inf"),
     ("--scenario", "active = source-spin\nsource.lambda_spin.mean = inf\n",
-     "line 2: source.lambda_spin.mean must be finite, got 'inf'"),
+     "line 2: source.lambda_spin.mean: mean must be finite, got inf"),
     ("--scenario", "source.eps_theta_spin_deg.mean = nan\n",
-     "line 1: source.eps_theta_spin_deg.mean must be finite, got 'nan'"),
+     "line 1: source.eps_theta_spin_deg.mean: mean must be finite, got nan"),
     ("--scenario", "seed = 1\n\nseed = 2\n", "line 3: key 'seed' is given twice"),
     ("--scenario", "iterations = many\n",
      "line 1: iterations: cannot read 'many' as int"),
@@ -273,6 +273,15 @@ def test_analyze_rejects_malformed_tables(capsys, tmp_path):
     bad.write_text("\n".join(lines) + "\n")
     rc, _, err = run_cli(capsys, "analyze", str(bad))
     assert rc == 2 and "canonical order" in err
+
+    with pytest.raises(ValueError, match="counts CSV is empty"):
+        cli.parse_counts_csv(" \n\n")
+    with pytest.raises(ValueError, match="counts CSV must have 4 data rows, got 3"):
+        cli.parse_counts_csv("\n".join(good.splitlines()[:4]))
+    lines = good.splitlines()
+    lines[3] += ",13"
+    with pytest.raises(ValueError, match="row 4: expected 17 cells, got 18"):
+        cli.parse_counts_csv("\n".join(lines))
 
 
 @pytest.mark.parametrize("cell", ["abc", "", "711.5", "-13"])
@@ -510,7 +519,7 @@ def test_decompose_table_marks_signature(capsys):
         assert ln.startswith(("f+f-", "f-f+", "y+y-", "y-y+"))
 
 
-def test_decompose_inline_amplitudes(capsys):
+def test_decompose_inline_amplitudes(capsys, tmp_path):
     psi = states.encoded_ket(states.Message.PHI_MINUS)
     inline = ",".join(f"{a.real:+.12g}{a.imag:+.12g}j" for a in psi)
     rc, out, _ = run_cli(capsys, "decompose", inline, "--format", "json")
@@ -519,6 +528,10 @@ def test_decompose_inline_amplitudes(capsys):
     assert doc["state"] == "custom"
     live = [r for r in doc["amplitudes"] if r["probability"] > 1e-12]
     assert {r["message"] for r in live} == {"Phi-"}
+    # the same amplitudes from a file, one per line
+    path = tmp_path / "state.txt"
+    path.write_text(inline.replace(",", "\n") + "\n")
+    assert run_cli(capsys, "decompose", str(path), "--format", "json") == (0, out, "")
 
 
 def test_decompose_rejects_bad_input(capsys):

@@ -148,6 +148,9 @@ def test_zero_sigma_run_matches_deterministic_point():
     assert r.capacity_std < 1e-12
     assert r.success_std < 1e-12
     assert abs(r.capacity_reduction - (2.0 - 1.9218136511494999)) < 1e-12
+    # one draw has no sample spread: ddof=1 would divide by zero
+    one = mc.McResult(s, r.capacity_bits[:1], r.success_probability[:1], 0)
+    assert (one.capacity_std, one.success_std) == (0.0, 0.0)
 
 
 def test_builtin_scenario_lookup():
@@ -207,6 +210,8 @@ def test_jobs_do_not_change_results():
                           threaded.success_probability)
     with pytest.raises(ValueError, match="jobs"):
         mc.run(s, jobs=0)
+    with pytest.raises(ValueError, match="jobs must be an integer, got 1.5"):
+        mc.run(s, jobs=1.5)
 
 
 def test_seed_moves_the_stream():

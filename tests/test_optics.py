@@ -36,6 +36,12 @@ def test_gate_params_validation():
         GateParams(phi1=math.nan)
     with pytest.raises(ValueError):
         AccidentalModel(fraction=1.0)
+    with pytest.raises(ValueError, match=r"accidental fraction must lie in \[0, 1\), got -0.1"):
+        AccidentalModel(fraction=-0.1)
+    with pytest.raises(ValueError, match="eps_H must be a real number, got True"):
+        GateParams(eps_H=True)
+    with pytest.raises(ValueError, match="accidental fraction must be a real number, got '0.1'"):
+        AccidentalModel(fraction="0.1")
 
 
 def test_hologram_map():
@@ -111,7 +117,7 @@ def test_pair_readout_is_complete():
 
     u = optics.two_photon_gate(GateParams())
     for m in states.MESSAGES:
-        rho = states.encode(states.ideal_source(), m)
+        rho = states.encode(states.build_source(states.SourceParams()), m)
         analyzed = u @ rho @ u.conj().T
         pairs = np.einsum("ki,ij,kj->k", readout, analyzed, readout.conj()).real
         assert abs(pairs @ signatures[:, m] - 1.0) < 1e-12
@@ -155,7 +161,7 @@ def test_transfer_matrix_global_phase_invariance():
     psi = states.encoded_ket(Message.PHI_MINUS)
     phased = np.exp(0.7j) * psi
     rho_phased = np.outer(phased, phased.conj())
-    assert np.allclose(rho_phased, states.ideal_source(), atol=1e-12)
+    assert np.allclose(rho_phased, states.build_source(states.SourceParams()), atol=1e-12)
 
 
 def test_single_group_composability():

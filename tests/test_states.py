@@ -84,10 +84,16 @@ def test_source_params_validation():
         states.SourceParams(lambda_orbit=1.2)
     with pytest.raises(ValueError):
         states.SourceParams(eps_theta_spin=math.inf)
+    with pytest.raises(ValueError, match="lambda_spin must be a real number, got True"):
+        states.SourceParams(lambda_spin=True)
+    with pytest.raises(ValueError, match="eps_theta_spin must be a real number, got 'x'"):
+        states.SourceParams(eps_theta_spin="x")
+    stored = states.SourceParams(eps_phi_orbit=np.float32(0.5)).eps_phi_orbit
+    assert type(stored) is float and stored == 0.5
 
 
 def test_ideal_source():
-    rho = states.ideal_source()
+    rho = states.build_source(states.SourceParams())
     check_density(rho)
     assert abs(purity(rho) - 1.0) < 1e-12
     # (|HH> - |VV>)/sqrt2 x (|lr> + |rl>)/sqrt2 in subsystem order
@@ -100,11 +106,6 @@ def test_ideal_source():
     assert abs(np.vdot(want, rho @ want).real - 1.0) < 1e-12
     ket = states.encoded_ket(Message.PHI_MINUS)
     assert abs(ket[1] - 0.5) < 1e-15
-
-
-def test_build_source_zero_params_is_ideal():
-    rho = states.build_source(states.SourceParams())
-    assert np.allclose(rho, states.ideal_source(), atol=1e-15)
 
 
 def test_build_source_marginals():
@@ -145,7 +146,7 @@ def test_build_source_always_valid_density():
 
 
 def test_encode():
-    ideal = states.ideal_source()
+    ideal = states.build_source(states.SourceParams())
     assert np.allclose(states.encode(ideal, Message.PHI_MINUS), ideal, atol=1e-15)
 
     # Psi+ encoding lands on the spin triplet state
@@ -168,7 +169,7 @@ def test_encode():
 
 
 def test_encoded_ket_matches_encode():
-    ideal = states.ideal_source()
+    ideal = states.build_source(states.SourceParams())
     for m in states.MESSAGES:
         ket = states.encoded_ket(m)
         assert np.allclose(np.outer(ket, ket.conj()),
@@ -190,6 +191,8 @@ def test_decompose_is_isometry():
         amps = states.spin_orbit_decompose(psi)
         assert amps.shape == (4, 4)
         assert abs(np.sum(np.abs(amps) ** 2) - 1.0) < 1e-12
+    with pytest.raises(ValueError, match=r"expected a 16-dim ket, got shape \(8,\)"):
+        states.spin_orbit_decompose(np.ones(8) / math.sqrt(8.0))
 
 
 def test_decompose_product_basis_ket():
