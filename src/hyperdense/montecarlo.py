@@ -14,15 +14,17 @@ the single-point API (transfer_matrix, apply_accidentals, channel_capacity).
 
 PARAMS is the one table of knobs: file keys, record fields, groups,
 sampling clamps, characterized budgets and active defaults.  The group
-list, the builtin scenarios and their names derive from it.  Angle
-parameters are specified in degrees (their customary lab unit) and
-converted to radians in _to_fields.
+list and the builtin scenarios derive from it.  The builtins are built
+once, at import, and shared: a checked McScenario is read-only, and
+dataclasses.replace makes a variant.  Angle parameters are specified in
+degrees (their customary lab unit) and converted to radians in _to_fields.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 
 import numpy as np
 
@@ -97,9 +99,6 @@ PARAMS = (
 )
 
 IMPERFECTION_GROUPS = tuple(dict.fromkeys(p.group for p in PARAMS))
-
-# One builtin scenario per group of IMPERFECTION_GROUPS, then all groups.
-BUILTIN_NAMES = ("spin", "orbit", "crosstalk", "accidentals", "all")
 
 DEFAULT_ITERATIONS = 100
 DEFAULT_SEED = 6
@@ -181,22 +180,26 @@ class ImperfectionParams:
     phi1: float = 0.0
     phi2: float = 0.0
 
+    def __post_init__(self):
+        # each field is checked by the record it belongs to, built once here
+        records = [cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
+                   for cls in (SourceParams, GateParams)]
+        object.__setattr__(self, "_records",
+                           (*records, AccidentalModel(self.accidental_fraction)))
+
     @classmethod
     def from_values(cls, values: dict) -> ImperfectionParams:
         """Record from {file key: value}; missing keys are 0 (ideal)."""
         return cls(**_to_fields(values, 0.0))
 
-    def _record(self, cls):
-        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
-
     def source_params(self) -> SourceParams:
-        return self._record(SourceParams)
+        return self._records[0]
 
     def gate_params(self) -> GateParams:
-        return self._record(GateParams)
+        return self._records[1]
 
     def accidental_model(self) -> AccidentalModel:
-        return AccidentalModel(fraction=self.accidental_fraction)
+        return self._records[2]
 
 
 @dataclass(frozen=True)
@@ -206,7 +209,8 @@ class McScenario:
     A knob of an active group without an explicit distribution sits at
     its default in PARAMS (zero, except the accidental fraction, which
     sits at its characterized value).  Inactive groups are forced to
-    ideal regardless of the provided distributions.
+    ideal regardless of the provided distributions.  Once checked,
+    ``distributions`` is a read-only copy of the mapping given.
     """
 
     name: str
@@ -236,28 +240,35 @@ class McScenario:
                 raise ValueError(f"{key} must be a ParamDistribution, got {d!r}")
         for name in ("iterations", "seed"):
             object.__setattr__(self, name, _number(name, getattr(self, name), *_INT_RANGES[name], kind=int))
+        object.__setattr__(self, "distributions", MappingProxyType(dict(self.distributions)))
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle: rebuild from a plain dict
+        return McScenario, (self.name, self.active, dict(self.distributions),
+                            self.iterations, self.seed)
+
+
+# The builtin scenarios, one per group of IMPERFECTION_GROUPS, then all
+# groups; each knob of an active group draws from its budget in PARAMS.
+_BUILTINS = {name: McScenario(name, active, {p.key: p.budget for p in PARAMS
+                                             if p.group in active and p.budget is not None})
+             for name, active in zip(("spin", "orbit", "crosstalk", "accidentals", "all"),
+                                     [{g} for g in IMPERFECTION_GROUPS] + [set(IMPERFECTION_GROUPS)])}
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def default_scenarios() -> list:
-    """The builtin scenarios of the characterized imperfection budget.
-
-    One scenario per group, then one with every group, named by
-    BUILTIN_NAMES; each knob of an active group draws from its budget in
-    PARAMS.
-    """
-    groups = [{g} for g in IMPERFECTION_GROUPS] + [set(IMPERFECTION_GROUPS)]
-    return [McScenario(name, active, {p.key: p.budget for p in PARAMS
-                                      if p.group in active and p.budget is not None})
-            for name, active in zip(BUILTIN_NAMES, groups)]
+    """The builtin scenarios of the characterized imperfection budget, in
+    BUILTIN_NAMES order: a new list of the same shared, read-only values."""
+    return list(_BUILTINS.values())
 
 
 def builtin_scenario(name: str) -> McScenario:
     """The builtin scenario called ``name`` (see default_scenarios)."""
-    for s in default_scenarios():
-        if s.name == name:
-            return s
-    raise ValueError(f"unknown builtin scenario {name!r}; valid names: "
-                     f"{list(BUILTIN_NAMES)}")
+    if name not in _BUILTINS:
+        raise ValueError(f"unknown builtin scenario {name!r}; valid names: "
+                         f"{list(BUILTIN_NAMES)}")
+    return _BUILTINS[name]
 
 
 def _standard_normals(seed: int, iteration_index: int, count: int) -> np.ndarray:

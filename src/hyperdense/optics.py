@@ -29,7 +29,6 @@ analyzer_unitary_stack; analyzer_unitary is its one-setting call.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import lru_cache
 
 import numpy as np
 
@@ -116,11 +115,6 @@ class TransferMatrix:
         object.__setattr__(self, "probabilities", check_channel(p))
 
 
-def hologram_map() -> np.ndarray:
-    """Single-photon hologram: (Hl, Hr, Vl, Vr) -> (Ha, Hb, Va, Vb)."""
-    return np.diag([1.0, -1.0, 1.0, -1.0]).astype(complex)
-
-
 def analyzer_unitary(gate: GateParams) -> np.ndarray:
     """Hologram followed by the PBS for one photon (4x4 unitary)."""
     return analyzer_unitary_stack([gate.eps_H], [gate.eps_V], [gate.phi1],
@@ -131,12 +125,6 @@ def two_photon_gate(gate: GateParams) -> np.ndarray:
     """Both photons analyzed independently: U x U on the 16-dim space."""
     u = analyzer_unitary(gate)
     return np.kron(u, u)
-
-
-@lru_cache(maxsize=1)
-def _pair_readout():
-    # row k: bra of Bell pair k after the ideal analyzer
-    return _PAIR_KETS.conj() @ two_photon_gate(GateParams()).conj().T
 
 
 def transfer_matrix(source: SourceParams = SourceParams(),
@@ -151,11 +139,10 @@ def transfer_matrix(source: SourceParams = SourceParams(),
     """
     rho_source = build_source(source)
     u = two_photon_gate(gate)
-    readout = _pair_readout()
     p = np.zeros((4, 4))
     for x in MESSAGES:
         analyzed = u @ encode(rho_source, x) @ u.conj().T
-        pairs = np.einsum("ki,ij,kj->k", readout, analyzed, readout.conj())
+        pairs = np.einsum("ki,ij,kj->k", _PAIR_READOUT, analyzed, _PAIR_READOUT.conj())
         p[:, x] = pairs.real @ PAIR_SIGNATURES
     p = np.clip(check_channel(p), 0.0, None)
     p /= p.sum(axis=0, keepdims=True)
@@ -170,6 +157,10 @@ def apply_accidentals(t: TransferMatrix,
 
 
 # --- stacks of settings ------------------------------------------------------
+
+# Single-photon hologram: (Hl, Hr, Vl, Vr) -> (Ha, Hb, Va, Vb)
+_HOLOGRAM = np.diag([1.0, -1.0, 1.0, -1.0]).astype(complex)
+
 
 def analyzer_unitary_stack(eps_H, eps_V, phi1, phi2) -> np.ndarray:
     """analyzer_unitary for a stack of gate settings given as equal-length
@@ -187,14 +178,16 @@ def analyzer_unitary_stack(eps_H, eps_V, phi1, phi2) -> np.ndarray:
     pbs[:, 2, 2] = pbs[:, 3, 3] = e12 * rV
     pbs[:, 2, 3] = -np.exp(1j * phi2) * tV
     pbs[:, 3, 2] = np.exp(1j * phi1) * tV
-    return pbs @ hologram_map()
+    return pbs @ _HOLOGRAM
 
 
-@lru_cache(maxsize=1)
-def _heisenberg_constants():
-    readout = _BELL_KETS.conj() @ analyzer_unitary(GateParams()).conj().T
-    encodings = np.array([encoding_operator(m)[:4, :4] for m in MESSAGES])
-    return readout, encodings
+# The ideal analyzer's readouts, built once.  transfer_matrix's: row k is
+# the bra of Bell pair k after the ideal two-photon analyzer.  The engine's
+# own, which transfer_matrix never reads: one photon's Bell bras after the
+# ideal analyzer, and the Pauli of each message on photon 2's modes.
+_PAIR_READOUT = _PAIR_KETS.conj() @ two_photon_gate(GateParams()).conj().T
+_ENGINE_READOUT = _BELL_KETS.conj() @ analyzer_unitary(GateParams()).conj().T
+_ENGINE_ENCODINGS = np.array([encoding_operator(m)[:4, :4] for m in MESSAGES])
 
 
 def _outer_rows(a: np.ndarray) -> np.ndarray:
@@ -218,15 +211,14 @@ def transfer_matrix_stack(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     states.PAIR_SIGNATURES, and columns get the same check, clip and
     renormalization guard as transfer_matrix.
     """
-    readout, encodings = _heisenberg_constants()
     n = len(u)
-    a = readout @ u
+    a = _ENGINE_READOUT @ u
     # rho[(a1, b1), (a2, b2)]: photon-1 indices first
     rho = rho.reshape(n, 4, 4, 4, 4).transpose(0, 1, 3, 2, 4).reshape(n, 16, 16)
     # photon 1: t[l1, (a2, b2)] = sum A[l1, a1] A*[l1, b1] rho[(a1, b1), (a2, b2)]
     t = _outer_rows(a) @ rho
     # photon 2, C_x = A k_x: pairs[(x, l2), l1] = sum C_x[l2, a2] C_x*[l2, b2] t[l1, (a2, b2)]
-    c = (a[:, None] @ encodings).reshape(n, 16, 4)
+    c = (a[:, None] @ _ENGINE_ENCODINGS).reshape(n, 16, 4)
     pairs = (_outer_rows(c) @ t.transpose(0, 2, 1)).real
     # pairs are (l2, l1)-major; the table still fits, as message_of_pair is symmetric
     p = (pairs.reshape(n, 4, 16) @ PAIR_SIGNATURES).transpose(0, 2, 1)

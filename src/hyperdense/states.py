@@ -29,8 +29,9 @@ tabulated as PAIR_MESSAGES and, one-hot, as PAIR_SIGNATURES, the one
 pair-to-message table that both analyzers, the counts aggregation and
 the SNR read).  MESSAGE_LABELS is the one tuple of message labels.
 
-The source model is written once, for stacks of settings: the model kets
-and build_source are one-setting calls of build_source_stack.
+The source model is written once, for stacks of settings: build_source
+is a one-setting call of build_source_stack, and encoded_ket reads the
+ideal pair kets as rows of the same model.
 
 _number is the one check of a scalar knob, shared by every record, file
 line and solver argument of the package.
@@ -169,16 +170,6 @@ def _model_kets(which: str, eps_theta, eps_phi) -> np.ndarray:
     return psi
 
 
-def model_spin_state(eps_theta: float, eps_phi: float) -> np.ndarray:
-    """Imperfect spin pair ket cos(pi/4+t)|HH> - e^(i p) sin(pi/4+t)|VV>."""
-    return _model_kets("spin", [eps_theta], [eps_phi])[0]
-
-
-def model_orbit_state(eps_theta: float, eps_phi: float) -> np.ndarray:
-    """Imperfect orbit pair ket cos(pi/4+t)|lr> + e^(i p) sin(pi/4+t)|rl>."""
-    return _model_kets("orbit", [eps_theta], [eps_phi])[0]
-
-
 def _interleave_ket(psi: np.ndarray) -> np.ndarray:
     # (s1, s2, o1, o2) -> (s1, o1, s2, o2)
     return psi.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(16)
@@ -242,8 +233,8 @@ def encode(rho: np.ndarray, message: Message) -> np.ndarray:
 
 def encoded_ket(message: Message) -> np.ndarray:
     """Pure state the receiver sees when `message` rides the ideal source."""
-    ideal = _interleave_ket(np.kron(model_spin_state(0.0, 0.0),
-                                    model_orbit_state(0.0, 0.0)))
+    ideal = _interleave_ket(np.kron(_model_kets("spin", [0.0], [0.0])[0],
+                                    _model_kets("orbit", [0.0], [0.0])[0]))
     return encoding_operator(message) @ ideal
 
 

@@ -114,7 +114,9 @@ def test_transfer_matrix_does_not_reach_the_engine(monkeypatch):
     def engine(*args):
         raise AssertionError("transfer_matrix called the engine")
 
-    monkeypatch.setattr(optics, "_heisenberg_constants", engine)
+    # constants no analyzer can contract with: reading either one fails
+    monkeypatch.setattr(optics, "_ENGINE_READOUT", None)
+    monkeypatch.setattr(optics, "_ENGINE_ENCODINGS", None)
     monkeypatch.setattr(optics, "transfer_matrix_stack", engine)
     assert np.array_equal(transfer_matrix(source, gate).probabilities, want)
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -99,6 +100,19 @@ def test_scenario_validation_errors():
     assert (numpy_ints.iterations, numpy_ints.seed) == (3, 2**64 - 1)
     assert type(numpy_ints.seed) is int
     assert mc.McScenario("ok", seed=-2**63).seed == -2**63
+    # a checked scenario is read-only, apart from the caller's dict, and pickles
+    given = {"gate.eps_H": mc.ParamDistribution(0.1)}
+    s = mc.McScenario("ok", {"pbs-crosstalk"}, given)
+    with pytest.raises(TypeError):
+        s.distributions["gate.eps_H"] = "junk"
+    given["gate.eps_V"] = mc.ParamDistribution(0.2)
+    assert dict(s.distributions) == {"gate.eps_H": mc.ParamDistribution(0.1)}
+    assert pickle.loads(pickle.dumps(s)) == s
+    # each field of a setting goes through its record's rule
+    with pytest.raises(ValueError, match="lambda_spin must be finite, got nan"):
+        mc.ImperfectionParams.from_values({"source.lambda_spin": float("nan")})
+    with pytest.raises(ValueError, match="eps_H must be a real number, got True"):
+        mc.ImperfectionParams.from_values({"gate.eps_H": True})
 
 
 @pytest.mark.parametrize("mean, sigma", [(float("inf"), 0.0), (float("-inf"), 1.0),
@@ -156,6 +170,8 @@ def test_zero_sigma_run_matches_deterministic_point():
 def test_builtin_scenario_lookup():
     names = [s.name for s in mc.default_scenarios()]
     assert names == ["spin", "orbit", "crosstalk", "accidentals", "all"]
+    mc.default_scenarios().pop()
+    assert [s.name for s in mc.default_scenarios()] == names
     assert mc.builtin_scenario("orbit").active == frozenset({"source-orbit"})
     assert mc.builtin_scenario("all").active == frozenset(mc.IMPERFECTION_GROUPS)
     with pytest.raises(ValueError, match="valid names"):

@@ -45,7 +45,7 @@ def test_gate_params_validation():
 
 
 def test_hologram_map():
-    h = optics.hologram_map()
+    h = optics._HOLOGRAM
     assert np.allclose(h.conj().T @ h, np.eye(4), atol=1e-12)
     # columns (Hl, Hr, Vl, Vr) -> outputs (Ha, Hb, Va, Vb)
     assert np.array_equal(h[:, 0], [1, 0, 0, 0])
@@ -56,7 +56,7 @@ def test_hologram_map():
 
 def test_pbs_matrix_ideal_and_boundary():
     # the PBS alone: the hologram is diagonal with entries +-1, its own inverse
-    h = optics.hologram_map()
+    h = optics._HOLOGRAM
     ideal = optics.analyzer_unitary(GateParams()) @ h
     assert np.allclose(ideal[0:2, 0:2], np.eye(2), atol=1e-15)
     assert np.allclose(ideal[2:4, 2:4], [[0, -1], [1, 0]], atol=1e-15)
@@ -69,7 +69,7 @@ def test_pbs_matrix_ideal_and_boundary():
 def test_pbs_matrix_unitary_for_random_params():
     rng = np.random.default_rng(19)
     for _ in range(50):
-        u = optics.analyzer_unitary(_random_gate(rng)) @ optics.hologram_map()
+        u = optics.analyzer_unitary(_random_gate(rng)) @ optics._HOLOGRAM
         assert np.allclose(u.conj().T @ u, np.eye(4), atol=1e-12)
 
 
@@ -98,7 +98,7 @@ def test_two_photon_gate():
 
 
 def test_pair_readout_is_complete():
-    readout, signatures = optics._pair_readout(), states.PAIR_SIGNATURES
+    readout, signatures = optics._PAIR_READOUT, states.PAIR_SIGNATURES
     assert np.allclose(readout @ readout.conj().T, np.eye(16), atol=1e-12)
     assert signatures.shape == (16, 4)
     assert np.array_equal(signatures.sum(axis=0), [4, 4, 4, 4])

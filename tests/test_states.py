@@ -23,6 +23,11 @@ _DEG = math.pi / 180.0
 _SQRT2 = math.sqrt(2.0)
 
 
+def _model_ket(which: str, eps_theta: float, eps_phi: float) -> np.ndarray:
+    # one row of the source model's pair kets
+    return states._model_kets(which, [eps_theta], [eps_phi])[0]
+
+
 def test_message_enum():
     assert [m.label for m in states.MESSAGES] == ["Phi+", "Phi-", "Psi+", "Psi-"]
     assert [int(m) for m in states.MESSAGES] == [0, 1, 2, 3]
@@ -49,27 +54,27 @@ def test_spin_orbit_bell_kets():
 
 
 def test_model_spin_state():
-    assert np.allclose(states.model_spin_state(0.0, 0.0),
+    assert np.allclose(_model_ket("spin", 0.0, 0.0),
                        [1 / _SQRT2, 0, 0, -1 / _SQRT2], atol=1e-15)
-    boundary = states.model_spin_state(math.pi / 4.0, 0.0)
+    boundary = _model_ket("spin", math.pi / 4.0, 0.0)
     assert abs(abs(boundary[3]) - 1.0) < 1e-12
     assert np.linalg.norm(boundary[:3]) < 1e-12
-    tilted = states.model_spin_state(1.0 * _DEG, 0.0)
+    tilted = _model_ket("spin", 1.0 * _DEG, 0.0)
     assert np.allclose(
         tilted,
         [0.6946583704589973, 0.0, 0.0, -0.7193398003386511],
         atol=1e-15,
     )
-    phased = states.model_spin_state(0.0, 0.3)
+    phased = _model_ket("spin", 0.0, 0.3)
     assert abs(phased[3] - (-np.exp(0.3j) / _SQRT2)) < 1e-15
 
 
 def test_model_orbit_state():
-    assert np.allclose(states.model_orbit_state(0.0, 0.0),
+    assert np.allclose(_model_ket("orbit", 0.0, 0.0),
                        [0, 1 / _SQRT2, 1 / _SQRT2, 0], atol=1e-15)
-    flipped = states.model_orbit_state(0.0, math.pi)
+    flipped = _model_ket("orbit", 0.0, math.pi)
     assert np.allclose(flipped, [0, 1 / _SQRT2, -1 / _SQRT2, 0], atol=1e-12)
-    tilted = states.model_orbit_state(1.7 * _DEG, 0.0)
+    tilted = _model_ket("orbit", 1.7 * _DEG, 0.0)
     assert np.allclose(
         tilted,
         [0.0, 0.6858183529273763, 0.7277727576572105, 0.0],
@@ -153,7 +158,7 @@ def test_encode():
     psi_plus_spin = np.zeros(4, dtype=complex)
     psi_plus_spin[1] = psi_plus_spin[2] = 1 / _SQRT2
     want = states._interleave_ket(np.kron(
-        psi_plus_spin, states.model_orbit_state(0.0, 0.0)))
+        psi_plus_spin, _model_ket("orbit", 0.0, 0.0)))
     got = states.encode(ideal, Message.PSI_PLUS)
     assert abs(np.vdot(want, got @ want).real - 1.0) < 1e-12
 
