@@ -7,10 +7,11 @@ a counter-based generator (Philox) keyed by (seed, iteration index), so
 iteration i produces the same values whatever other iterations run.
 
 run evaluates draws in blocks: each block is sampled as one column per
-knob, goes through one stacked analyzer (optics.transfer_matrix_stack)
-and one capacity.channel_capacity_stack solve, the one Blahut-Arimoto
-loop.  sample_params gives one draw of the same columns as a record for
-the single-point API (transfer_matrix, apply_accidentals, channel_capacity).
+knob, goes through the one analyzer (optics.transfer_matrix_stack) and
+one capacity.channel_capacity_stack solve, the one Blahut-Arimoto loop.
+sample_params gives one draw of the same columns as a record for the
+single-point API (transfer_matrix, apply_accidentals, channel_capacity),
+which runs the same analyzer and solver at n = 1.
 
 PARAMS is the one table of knobs: file keys, record fields, groups,
 sampling clamps, characterized budgets and active defaults.  The group

@@ -18,12 +18,13 @@ photons' detectors identify the encoded message.
 Detection reads the analyzed state in the ideal analyzer's pair basis,
 the images of the 16 spin-orbit Bell pairs.  Each pair signals one
 message and the basis is complete, so every event is assigned to exactly
-one message and transfer-matrix columns sum to one.  Both analyzers sum
+one message and transfer-matrix columns sum to one.  The analyzer sums
 pairs into messages with the one table states.PAIR_SIGNATURES, and
 matrices are labelled by states.MESSAGE_LABELS.
 
-The PBS is written once, for stacks of gate settings, in
-analyzer_unitary_stack; analyzer_unitary is its one-setting call.
+The analyzer is written once, for stacks of settings: the PBS in
+analyzer_unitary_stack and the detection in transfer_matrix_stack.
+analyzer_unitary and transfer_matrix are their one-setting calls.
 """
 
 from __future__ import annotations
@@ -34,14 +35,12 @@ import numpy as np
 
 from .states import (
     _BELL_KETS,
-    _PAIR_KETS,
     MESSAGE_LABELS,
     MESSAGES,
     PAIR_SIGNATURES,
     SourceParams,
     _number,
     build_source,
-    encode,
     encoding_operator,
 )
 
@@ -103,16 +102,19 @@ class TransferMatrix:
 
     probabilities[y, x] is the probability of assigning message y when
     message x was sent, both indexed Phi+, Phi-, Psi+, Psi- (the order of
-    states.MESSAGE_LABELS); columns sum to one.
+    states.MESSAGE_LABELS); columns sum to one.  The record holds its own
+    read-only copy, so the checked values cannot change afterwards.
     """
 
     probabilities: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=float)
+        p = np.array(self.probabilities, dtype=float)
         if p.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got {p.shape}")
-        object.__setattr__(self, "probabilities", check_channel(p))
+        check_channel(p)
+        p.flags.writeable = False
+        object.__setattr__(self, "probabilities", p)
 
 
 def analyzer_unitary(gate: GateParams) -> np.ndarray:
@@ -131,22 +133,12 @@ def transfer_matrix(source: SourceParams = SourceParams(),
                     gate: GateParams = GateParams()) -> TransferMatrix:
     """Conditional-detection probabilities for all sent messages.
 
-    Each encoded source state rho_x is evolved by the two-photon analyzer
-    U; p(y|x) sums the probabilities of message y's four pairs in the
-    ideal analyzer's pair basis.  The raw matrix must pass check_channel,
-    so an incomplete readout fails here; what the guard then removes is
-    rounding: entries are clipped at 0 and columns renormalized.
+    p(y|x) is the probability that message x, sent through the source and
+    read by the analyzer, lands on one of message y's four pairs: the
+    one-setting call of transfer_matrix_stack.
     """
-    rho_source = build_source(source)
-    u = two_photon_gate(gate)
-    p = np.zeros((4, 4))
-    for x in MESSAGES:
-        analyzed = u @ encode(rho_source, x) @ u.conj().T
-        pairs = np.einsum("ki,ij,kj->k", _PAIR_READOUT, analyzed, _PAIR_READOUT.conj())
-        p[:, x] = pairs.real @ PAIR_SIGNATURES
-    p = np.clip(check_channel(p), 0.0, None)
-    p /= p.sum(axis=0, keepdims=True)
-    return TransferMatrix(p)
+    return TransferMatrix(transfer_matrix_stack(build_source(source)[None],
+                                                analyzer_unitary(gate)[None])[0])
 
 
 def apply_accidentals(t: TransferMatrix,
@@ -181,13 +173,10 @@ def analyzer_unitary_stack(eps_H, eps_V, phi1, phi2) -> np.ndarray:
     return pbs @ _HOLOGRAM
 
 
-# The ideal analyzer's readouts, built once.  transfer_matrix's: row k is
-# the bra of Bell pair k after the ideal two-photon analyzer.  The engine's
-# own, which transfer_matrix never reads: one photon's Bell bras after the
-# ideal analyzer, and the Pauli of each message on photon 2's modes.
-_PAIR_READOUT = _PAIR_KETS.conj() @ two_photon_gate(GateParams()).conj().T
-_ENGINE_READOUT = _BELL_KETS.conj() @ analyzer_unitary(GateParams()).conj().T
-_ENGINE_ENCODINGS = np.array([encoding_operator(m)[:4, :4] for m in MESSAGES])
+# Built once: one photon's Bell bras after the ideal analyzer, and the
+# Pauli of each message on photon 2's modes.
+_READOUT = _BELL_KETS.conj() @ analyzer_unitary(GateParams()).conj().T
+_ENCODINGS = np.array([encoding_operator(m)[:4, :4] for m in MESSAGES])
 
 
 def _outer_rows(a: np.ndarray) -> np.ndarray:
@@ -200,25 +189,26 @@ def transfer_matrix_stack(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Transfer-matrix probabilities for a stack of settings, shape (n, 4, 4).
 
     ``rho`` is a source stack from states.build_source_stack and ``u`` an
-    analyzer stack from analyzer_unitary_stack; entry [k, y, x] is what
-    transfer_matrix gives for setting k, up to rounding.  Worked in the
-    Heisenberg picture: A = B+ u0+ U maps one photon's modes onto the
-    outcomes of the ideal analyzer u0, whose Bell kets are the columns of
-    B.  Message x sees W_x = A (x) A k_x, with k_x the Pauli on photon 2,
-    so its 16 pair probabilities are diag(W_x rho W_x+).  Photon 1 is
-    contracted once, photon 2 once per message, each as a product with
-    the outer products of 4-entry rows; pairs are then summed by
-    states.PAIR_SIGNATURES, and columns get the same check, clip and
-    renormalization guard as transfer_matrix.
+    analyzer stack from analyzer_unitary_stack; entry [k, y, x] is
+    p(y|x) for setting k.  Worked in the Heisenberg picture: A = B+ u0+ U
+    maps one photon's modes onto the outcomes of the ideal analyzer u0,
+    whose Bell kets are the columns of B.  Message x sees W_x = A (x) A
+    k_x, with k_x the Pauli on photon 2, so its 16 pair probabilities are
+    diag(W_x rho W_x+).  Photon 1 is contracted once, photon 2 once per
+    message, each as a product with the outer products of 4-entry rows;
+    pairs are then summed by states.PAIR_SIGNATURES.  The raw matrices
+    must pass check_channel, so an incomplete readout fails here; what
+    the guard then removes is rounding: entries are clipped at 0 and
+    columns renormalized.
     """
     n = len(u)
-    a = _ENGINE_READOUT @ u
+    a = _READOUT @ u
     # rho[(a1, b1), (a2, b2)]: photon-1 indices first
     rho = rho.reshape(n, 4, 4, 4, 4).transpose(0, 1, 3, 2, 4).reshape(n, 16, 16)
     # photon 1: t[l1, (a2, b2)] = sum A[l1, a1] A*[l1, b1] rho[(a1, b1), (a2, b2)]
     t = _outer_rows(a) @ rho
     # photon 2, C_x = A k_x: pairs[(x, l2), l1] = sum C_x[l2, a2] C_x*[l2, b2] t[l1, (a2, b2)]
-    c = (a[:, None] @ _ENGINE_ENCODINGS).reshape(n, 16, 4)
+    c = (a[:, None] @ _ENCODINGS).reshape(n, 16, 4)
     pairs = (_outer_rows(c) @ t.transpose(0, 2, 1)).real
     # pairs are (l2, l1)-major; the table still fits, as message_of_pair is symmetric
     p = (pairs.reshape(n, 4, 16) @ PAIR_SIGNATURES).transpose(0, 2, 1)

@@ -26,8 +26,8 @@ Each encoded two-photon state is supported on exactly four of the 16
 spin-orbit pair products, with amplitudes of magnitude 1/2; the pair
 sets partition the 16 products into the four messages (message_of_pair,
 tabulated as PAIR_MESSAGES and, one-hot, as PAIR_SIGNATURES, the one
-pair-to-message table that both analyzers, the counts aggregation and
-the SNR read).  MESSAGE_LABELS is the one tuple of message labels.
+pair-to-message table that the analyzer, the counts aggregation and the
+SNR read).  MESSAGE_LABELS is the one tuple of message labels.
 
 The source model is written once, for stacks of settings: build_source
 is a one-setting call of build_source_stack, and encoded_ket reads the
@@ -163,10 +163,14 @@ _PAIR_MODELS = {"spin": (0, 3, -1.0), "orbit": (1, 2, 1.0)}
 
 def _model_kets(which: str, eps_theta, eps_phi) -> np.ndarray:
     first, last, sign = _PAIR_MODELS[which]
-    theta = math.pi / 4.0 + np.asarray(eps_theta, dtype=float)
-    psi = np.zeros((len(theta), 4), dtype=complex)
-    psi[:, first] = np.cos(theta)
-    psi[:, last] = sign * np.exp(1j * np.asarray(eps_phi)) * np.sin(theta)
+    t = np.asarray(eps_theta, dtype=float)
+    cos_t, sin_t = np.cos(t), np.sin(t)
+    psi = np.zeros((len(t), 4), dtype=complex)
+    # cos(pi/4 + t) and sin(pi/4 + t), both exactly sqrt(1/2) at t = 0, so
+    # the ideal source carries no rounding residue
+    psi[:, first] = (cos_t - sin_t) * math.sqrt(0.5)
+    psi[:, last] = (cos_t + sin_t) * math.sqrt(0.5)
+    psi[:, last] *= sign * np.exp(1j * np.asarray(eps_phi))
     return psi
 
 

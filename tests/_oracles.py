@@ -280,6 +280,66 @@ def analyzer_unitary(eps_H: float, eps_V: float, phi1: float,
     return pbs @ np.diag([1.0, -1.0, 1.0, -1.0])
 
 
+# --- the analyzer, in the Schroedinger picture --------------------------------
+
+# Single-photon spin-orbit Bell kets phi+, phi-, psi+, psi- as rows, in the
+# (Hl, Hr, Vl, Vr) basis: README's Conventions table.
+_BELL_ROWS = np.array([[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, -1.0],
+                       [0.0, 1.0, 1.0, 0.0], [0.0, 1.0, -1.0, 0.0]]) / math.sqrt(2.0)
+# The sender's Pauli on photon-2 spin for Phi+, Phi-, Psi+, Psi-: Z, I, XZ, X.
+_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+_PAULI_Z = np.diag([1.0, -1.0])
+_SENDER_PAULIS = (_PAULI_Z, np.eye(2), _PAULI_X @ _PAULI_Z, _PAULI_X)
+
+
+def _pair_probabilities(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """[x, k]: probability that message x, encoded on the 16x16 source rho
+    and sent through the one-photon analyzer u on each photon, is detected
+    as Bell pair k (photon-1 label major), the image of that pair under
+    the ideal analyzer."""
+    u0 = analyzer_unitary(0.0, 0.0, 0.0, 0.0)
+    pairs = np.kron(u0, u0) @ np.kron(_BELL_ROWS, _BELL_ROWS).T
+    u2 = np.kron(u, u)
+    out = np.zeros((4, 16))
+    for x, pauli in enumerate(_SENDER_PAULIS):
+        # subsystem order (spin1, orbit1, spin2, orbit2)
+        k = np.kron(np.eye(4), np.kron(pauli, np.eye(2)))
+        analyzed = u2 @ k @ rho @ k.conj().T @ u2.conj().T
+        out[x] = np.einsum("ik,ij,jk->k", pairs.conj(), analyzed, pairs).real
+    return out
+
+
+def _pair_messages() -> np.ndarray:
+    """[k, m] = 1 when message m's ideal encoded state reaches pair k: each
+    message reaches four pairs, with probability 1/4 each, and no pair
+    is reached by two."""
+    ideal = _pair_probabilities(source_density(0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+                                analyzer_unitary(0.0, 0.0, 0.0, 0.0))
+    reached = ideal > 0.125
+    assert np.allclose(ideal[reached], 0.25) and np.allclose(ideal[~reached], 0.0)
+    assert np.array_equal(reached.sum(axis=0), np.ones(16))
+    return reached.T.astype(float)
+
+
+_PAIR_MESSAGES = _pair_messages()
+
+
+def schroedinger_transfer_matrix(eps_theta_spin: float, eps_phi_spin: float,
+                                 lambda_spin: float, eps_theta_orbit: float,
+                                 eps_phi_orbit: float, lambda_orbit: float,
+                                 eps_H: float, eps_V: float, phi1: float,
+                                 phi2: float) -> np.ndarray:
+    """p[y, x] of the source and analyzer with these knobs: each encoded
+    16x16 state is evolved by the two-photon analyzer, read in the ideal
+    analyzer's pair basis, and its pair probabilities are summed into the
+    message that reaches each pair ideally.  No check, clip or
+    renormalization."""
+    rho = source_density(eps_theta_spin, eps_phi_spin, lambda_spin,
+                         eps_theta_orbit, eps_phi_orbit, lambda_orbit)
+    u = analyzer_unitary(eps_H, eps_V, phi1, phi2)
+    return (_pair_probabilities(rho, u) @ _PAIR_MESSAGES).T
+
+
 def check_density(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Assert rho is hermitian with unit trace and no eigenvalue below
     -1e-9; return it as a complex array."""

@@ -144,8 +144,12 @@ def test_encoded_states_have_four_half_amplitude_signatures():
         assert live == set(signs[message])
         assert live == {divmod(int(j), 4)
                         for j in np.flatnonzero(states.PAIR_MESSAGES == message)}
+        want = np.zeros((4, 4))
         for (i, j), sign in signs[message].items():
             assert abs(amps[i, j] - sign * 0.5) < 1e-12
+            want[i, j] = sign * 0.5
+        # exactly: the ideal source carries no rounding residue
+        assert np.array_equal(amps, want)
 
 
 def test_grid_search_agrees_with_iterative_capacity():

@@ -3,18 +3,17 @@
 montecarlo.run samples draws as columns, builds their transfer matrices
 in one stacked Heisenberg-picture pass and solves their capacities in
 one stacked Blahut-Arimoto run.  Each piece is compared here with a
-single-point route: sample_params, the Schroedinger-picture
-transfer_matrix, apply_accidentals and the plain Blahut-Arimoto loop in
-_oracles.  The stacked solver is that loop bit for bit on every solve the
-loop finishes within WARM_UP iterations; beyond them it over-relaxes, and
-must converge wherever the loop does, in no more iterations, to a
-capacity the test certifies itself.  transfer_matrix shares no table
-with the engine's analyzer, and a test checks that it does not reach it.
-build_source and analyzer_unitary are one-setting calls of the stacked
-builders, so the stacked source and analyzer unitary are compared with
-the formulas in _oracles instead.  The sampler's stream layout is pinned
-too: a knob draws the same values in every scenario that samples it
-alike.
+single-point route: sample_params, the Schroedinger-picture analyzer and
+the plain Blahut-Arimoto loop in _oracles.  The stacked solver is that
+loop bit for bit on every solve the loop finishes within WARM_UP
+iterations; beyond them it over-relaxes, and must converge wherever the
+loop does, in no more iterations, to a capacity the test certifies
+itself.  build_source, analyzer_unitary and transfer_matrix are
+one-setting calls of the stacked builders, so the stacked source,
+analyzer unitary and matrix are compared with the formulas in _oracles
+instead, and each stacked row with its one-setting call bit for bit.
+The sampler's stream layout is pinned too: a knob draws the same values
+in every scenario that samples it alike.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperdense import montecarlo as mc
-from hyperdense import optics
 from hyperdense.capacity import (
     WARM_UP,
     average_success,
@@ -49,7 +47,13 @@ from hyperdense.optics import (
 )
 from hyperdense.states import SourceParams, build_source_stack
 
-from _oracles import analyzer_unitary, blahut_arimoto, divergences, source_density
+from _oracles import (
+    analyzer_unitary,
+    blahut_arimoto,
+    divergences,
+    schroedinger_transfer_matrix,
+    source_density,
+)
 
 _ANGLE = st.floats(-math.pi, math.pi)
 _WEIGHT = st.floats(0.0, 1.0)
@@ -98,27 +102,9 @@ def test_stacked_matrices_match_transfer_matrix(settings_list):
         want_rho = source_density(*(s[f] for f in _SOURCE_FIELDS))
         assert np.max(np.abs(rho[k] - want_rho)) < 1e-15
         assert np.array_equal(u[k], analyzer_unitary(*(s[f] for f in _GATE_FIELDS)))
-        want = transfer_matrix(source, gate).probabilities
+        want = schroedinger_transfer_matrix(*(s[f] for f in _SOURCE_FIELDS + _GATE_FIELDS))
         assert np.max(np.abs(p[k] - want)) < 1e-12
-
-
-
-def test_transfer_matrix_does_not_reach_the_engine(monkeypatch):
-    # the single-point route is the engine's reference only while it shares
-    # none of the engine's analyzer
-    source = SourceParams(eps_theta_spin=0.02, eps_phi_spin=-0.1, lambda_spin=0.01,
-                          eps_theta_orbit=0.03, eps_phi_orbit=0.2, lambda_orbit=0.03)
-    gate = GateParams(eps_H=0.005, eps_V=0.01, phi1=0.04, phi2=-0.03)
-    want = transfer_matrix(source, gate).probabilities
-
-    def engine(*args):
-        raise AssertionError("transfer_matrix called the engine")
-
-    # constants no analyzer can contract with: reading either one fails
-    monkeypatch.setattr(optics, "_ENGINE_READOUT", None)
-    monkeypatch.setattr(optics, "_ENGINE_ENCODINGS", None)
-    monkeypatch.setattr(optics, "transfer_matrix_stack", engine)
-    assert np.array_equal(transfer_matrix(source, gate).probabilities, want)
+        assert np.array_equal(transfer_matrix(source, gate).probabilities, p[k])
 
 
 def _assert_matches_oracle(p, max_iterations=100_000):

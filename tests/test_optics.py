@@ -98,7 +98,8 @@ def test_two_photon_gate():
 
 
 def test_pair_readout_is_complete():
-    readout, signatures = optics._PAIR_READOUT, states.PAIR_SIGNATURES
+    readout = np.kron(optics._READOUT, optics._READOUT)
+    signatures = states.PAIR_SIGNATURES
     assert np.allclose(readout @ readout.conj().T, np.eye(16), atol=1e-12)
     assert signatures.shape == (16, 4)
     assert np.array_equal(signatures.sum(axis=0), [4, 4, 4, 4])
@@ -125,8 +126,9 @@ def test_pair_readout_is_complete():
 
 
 def test_transfer_matrix_ideal_is_identity():
+    # exactly: the ideal source and analyzer leave no rounding residue
     t = optics.transfer_matrix(SourceParams(), GateParams())
-    assert np.max(np.abs(t.probabilities - np.eye(4))) < 1e-12
+    assert np.array_equal(t.probabilities, np.eye(4))
 
 
 def test_transfer_matrix_reference_points():
@@ -247,6 +249,13 @@ def test_transfer_matrix_validation():
         TransferMatrix(np.full((4, 4), np.nan))
     with pytest.raises(ValueError, match="empty"):
         optics.check_channel(np.zeros((0, 0)))
+    # a checked matrix stays checked: the record holds a read-only copy
+    caller = np.eye(4)
+    t = TransferMatrix(caller)
+    caller[:, 0] = [0.5, 0.9, 0.0, 0.0]
+    assert np.array_equal(t.probabilities, np.eye(4))
+    with pytest.raises(ValueError, match="read-only"):
+        t.probabilities[0, 0] = math.nan
 
 
 def test_check_channel_takes_stacks_and_reports_the_largest_deviation():
@@ -257,10 +266,11 @@ def test_check_channel_takes_stacks_and_reports_the_largest_deviation():
         optics.check_channel(np.stack([np.eye(4), 0.5 * np.eye(4)]))
 
 
-def test_incomplete_detection_fails_in_both_analyzers(monkeypatch):
-    # one message's column of the one signature table, which both analyzers
-    # read, scaled by 1.1: its row no longer completes the columns, and
-    # neither analyzer may renormalize that away
+def test_incomplete_detection_fails_in_the_analyzer(monkeypatch):
+    # one message's column of the one signature table, which the analyzer
+    # reads, scaled by 1.1: its row no longer completes the columns, and
+    # the analyzer may not renormalize that away, called for one setting
+    # or for a stack
     signatures = states.PAIR_SIGNATURES.copy()
     signatures[:, 1] *= 1.1
     monkeypatch.setattr(optics, "PAIR_SIGNATURES", signatures)

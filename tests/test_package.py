@@ -1,8 +1,9 @@
 """Checks on the package as a whole: docstrings, the README's knob table and
-API sketch, and the benchmark's traced names."""
+API sketch, the benchmark's traced names and the oracles' independence."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -13,6 +14,7 @@ from hyperdense import montecarlo as mc
 MODULES = ("states", "optics", "capacity", "montecarlo", "cli")
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 README = Path(__file__).resolve().parents[1] / "README.md"
+ORACLES = Path(__file__).resolve().parent / "_oracles.py"
 
 
 def test_public_functions_and_classes_have_docstrings():
@@ -69,3 +71,16 @@ def test_traced_benchmark_names_resolve_to_callables():
                   if not callable(getattr(importlib.import_module(
                       f"hyperdense.{module_name}"), name, None))]
     assert tracer.TRACED and unresolved == []
+
+
+def test_oracles_import_nothing_from_the_package():
+    # the references, the analyzer's among them, are a second route to each
+    # number only while they share no code or table with hyperdense
+    imported = []
+    for node in ast.walk(ast.parse(ORACLES.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert imported and not [name for name in imported
+                             if name.split(".")[0] in ("hyperdense", "")]
