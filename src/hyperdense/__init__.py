@@ -15,7 +15,7 @@ Modules:
 * optics     - analyzer model, transfer matrices, accidentals
 * capacity   - mutual information, Blahut-Arimoto capacity, bound curves
 * montecarlo - uncertainty propagation over imperfection scenarios
-* cli        - command-line interface (``hyperdense``)
+* cli        - text layer: every file reader and renderer, ``hyperdense``
 
 Public names live in their modules (``from hyperdense.optics import
 transfer_matrix``); the package itself defines only ``__version__``.

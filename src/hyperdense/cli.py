@@ -1,4 +1,4 @@
-"""Command-line interface.
+"""Command-line interface: the package's text layer.
 
 Five subcommands cover the simulation workflow:
 
@@ -8,9 +8,11 @@ Five subcommands cover the simulation workflow:
 * montecarlo - imperfection budgets, builtin or from a scenario file
 * decompose  - spin-orbit Bell amplitudes of an encoded state
 
-All file inputs are flat text; angles in files are degrees.  JSON output
-preserves floats at full precision, tables round to 6 significant
-digits.  Every command is deterministic given its inputs and seed.
+It reads every input file (flat text, angles in degrees) and renders
+every table, CSV and JSON output; the other modules take and return
+numbers and records.  JSON output preserves floats at full precision,
+tables round to 6 significant digits.  Every command is deterministic
+given its inputs and seed.
 """
 
 from __future__ import annotations
@@ -32,7 +34,59 @@ _COUNTS_HEADER = ["sent"] + [l1.ascii + l2.ascii for l1, l2 in states.BELL_PAIRS
 
 _PARAMS_FILE_KEYS = dict.fromkeys((p.key for p in mc.PARAMS), float)
 
+_SCENARIO_KEYS = {"name": str, "active": str, "iterations": int, "seed": int,
+                  **{f"{p.key}.{kind}": float for p in mc.PARAMS
+                     for kind in ("mean", "sigma")}}
+
 _FORMATS = ("json", "csv", "table")
+
+
+def parse_key_values(text: str, keys: dict, build):
+    """The record ``build(values)`` of flat ``key = value`` lines.
+
+    ``keys`` maps every valid key to its converter (str, int or float),
+    and ``build`` makes a record from {key: converted value}, missing keys
+    at their defaults.  A line is valid when the record built from that
+    line alone is: each line is checked by ``build({key: value})``, whose
+    records reject a NaN or infinite number.  Blank lines and #-comments are
+    ignored.  An unknown or repeated key, a value the converter rejects and
+    a value that ``build`` rejects with ValueError are errors that name the
+    line.
+    """
+    values = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
+        key, value = (s.strip() for s in line.split("=", 1))
+        if key not in keys:
+            raise ValueError(f"line {lineno}: unknown key {key!r}; "
+                             f"valid keys: {list(keys)}")
+        if key in values:
+            raise ValueError(f"line {lineno}: key {key!r} is given twice")
+        try:
+            v = keys[key](value)
+        except ValueError:
+            raise ValueError(f"line {lineno}: {key}: cannot read {value!r} "
+                             f"as {keys[key].__name__}") from None
+        try:
+            build({key: v})
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {key}: {exc}") from None
+        values[key] = v
+    return build(values)
+
+
+def parse_file(path, parse):
+    """parse(text of the file at path); a ValueError from parse names the path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _records(values: dict) -> tuple:
@@ -42,7 +96,7 @@ def _records(values: dict) -> tuple:
 
 
 def _parse_params(text: str) -> tuple:
-    return mc.parse_key_values(text, _PARAMS_FILE_KEYS, _records)
+    return parse_key_values(text, _PARAMS_FILE_KEYS, _records)
 
 
 def load_params(path) -> tuple:
@@ -52,7 +106,42 @@ def load_params(path) -> tuple:
     default to the ideal apparatus with no accidentals.  A value that the
     record built from its line alone rejects fails with that line.
     """
-    return mc.parse_file(path, _parse_params)
+    return parse_file(path, _parse_params)
+
+
+def _groups(text: str) -> frozenset:
+    return frozenset(g.strip() for g in text.split(",") if g.strip())
+
+
+def _scenario(values: dict) -> mc.McScenario:
+    dists = {}
+    for p in mc.PARAMS:
+        mean, sigma = f"{p.key}.mean", f"{p.key}.sigma"
+        if mean in values or sigma in values:
+            dists[p.key] = mc.ParamDistribution(values.get(mean, p.default),
+                                                values.get(sigma, 0.0))
+    return mc.McScenario(name=values.get("name", "custom"),
+                         active=_groups(values.get("active", "")),
+                         distributions=dists,
+                         iterations=values.get("iterations", mc.DEFAULT_ITERATIONS),
+                         seed=values.get("seed", mc.DEFAULT_SEED))
+
+
+def parse_scenario_text(text: str) -> mc.McScenario:
+    """Parse the flat key=value scenario format.
+
+    Recognized keys: name=, active= (comma-separated groups),
+    iterations=, seed=, and per-parameter <param>.mean= / <param>.sigma=
+    with <param> a key of mc.PARAMS (a missing mean is the knob's default).
+    Blank lines and #-comments are ignored; a value that McScenario or
+    ParamDistribution rejects fails with its line.
+    """
+    return parse_key_values(text, _SCENARIO_KEYS, _scenario)
+
+
+def load_scenario(path) -> mc.McScenario:
+    """Parse the scenario file at ``path``; errors name the path and line."""
+    return parse_file(path, parse_scenario_text)
 
 
 def parse_counts_csv(text: str) -> np.ndarray:
@@ -178,7 +267,7 @@ def _cmd_simulate(args) -> str:
 # --- analyze -----------------------------------------------------------------
 
 def _cmd_analyze(args) -> str:
-    counts = mc.parse_file(args.counts, parse_counts_csv)
+    counts = parse_file(args.counts, parse_counts_csv)
     t = aggregate_counts(counts)
     snrs = cap.snr_per_message(counts)
     uniform = np.full(4, 0.25)
@@ -238,9 +327,28 @@ def _cmd_bounds(args) -> str:
 
 # --- montecarlo --------------------------------------------------------------
 
+def render_table(results, budget: mc.BudgetReport | None = None) -> str:
+    """Text table with one row per scenario."""
+    header = (f"{'imperfection':<14} {'success_probability':>24} "
+              f"{'capacity_bits':>24} {'reduction_bits':>15}")
+    lines = [header, "-" * len(header)]
+    for r in results:
+        succ = f"{r.success_mean:.6g} +/- {r.success_std:.2g}"
+        bits = f"{r.capacity_mean:.6g} +/- {r.capacity_std:.2g}"
+        lines.append(f"{r.scenario.name:<14} {succ:>24} {bits:>24} "
+                     f"{r.capacity_reduction:>15.6g}")
+    if budget is not None:
+        lines.append("")
+        lines.append(f"naive budget: 2 - sum(reductions) = "
+                     f"{budget.naive_capacity_bits:.6g} bits")
+        lines.append(f"joint simulation: {budget.joint_capacity_bits:.6g} bits "
+                     f"(difference {budget.discrepancy_bits:+.6g})")
+    return "\n".join(lines) + "\n"
+
+
 def _cmd_montecarlo(args) -> str:
     if args.scenario:
-        scenarios = [mc.load_scenario(args.scenario)]
+        scenarios = [load_scenario(args.scenario)]
     elif args.builtin == "full":
         scenarios = mc.default_scenarios()
     else:
@@ -272,7 +380,7 @@ def _cmd_montecarlo(args) -> str:
              "capacity_std_bits", "capacity_reduction_bits"],
             [[r.scenario.name, r.success_mean, r.success_std, r.capacity_mean,
               r.capacity_std, r.capacity_reduction] for r in results])
-    return mc.render_table(results, budget)
+    return render_table(results, budget)
 
 
 # --- decompose ---------------------------------------------------------------
@@ -302,7 +410,7 @@ def _cmd_decompose(args) -> str:
         psi = states.encoded_ket(sent)
     except ValueError:
         if os.path.exists(state_arg):
-            psi = mc.parse_file(state_arg, _parse_amplitudes)
+            psi = parse_file(state_arg, _parse_amplitudes)
         else:
             psi = _parse_amplitudes(state_arg)
     amps = states.spin_orbit_decompose(psi)

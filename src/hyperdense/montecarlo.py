@@ -104,7 +104,8 @@ IMPERFECTION_GROUPS = tuple(dict.fromkeys(p.group for p in PARAMS))
 DEFAULT_ITERATIONS = 100
 DEFAULT_SEED = 6
 MAX_ITERATIONS = 10**7
-# Philox is keyed by the seed mod 2**64: a wider range would alias streams.
+# Philox is keyed by the seed mod 2**64; the range takes signed and unsigned
+# 64-bit seeds, so a negative seed s shares its stream with s + 2**64.
 _INT_RANGES = {"iterations": (1, MAX_ITERATIONS), "seed": (-(1 << 63), _MASK64)}
 
 # Draws per block in run: bounds run's working memory whatever the
@@ -112,44 +113,6 @@ _INT_RANGES = {"iterations": (1, MAX_ITERATIONS), "seed": (-(1 << 63), _MASK64)}
 _BLOCK = 1024
 
 _RADIANS_PER_DEGREE = math.pi / 180.0
-
-
-def parse_key_values(text: str, keys: dict, build):
-    """The record ``build(values)`` of flat ``key = value`` lines.
-
-    ``keys`` maps every valid key to its converter (str, int or float),
-    and ``build`` makes a record from {key: converted value}, missing keys
-    at their defaults.  A line is valid when the record built from that
-    line alone is: each line is checked by ``build({key: value})``, whose
-    records reject a NaN or infinite number.  Blank lines and #-comments are
-    ignored.  An unknown or repeated key, a value the converter rejects and
-    a value that ``build`` rejects with ValueError are errors that name the
-    line.
-    """
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, value = (s.strip() for s in line.split("=", 1))
-        if key not in keys:
-            raise ValueError(f"line {lineno}: unknown key {key!r}; "
-                             f"valid keys: {list(keys)}")
-        if key in values:
-            raise ValueError(f"line {lineno}: key {key!r} is given twice")
-        try:
-            v = keys[key](value)
-        except ValueError:
-            raise ValueError(f"line {lineno}: {key}: cannot read {value!r} "
-                             f"as {keys[key].__name__}") from None
-        try:
-            build({key: v})
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {key}: {exc}") from None
-        values[key] = v
-    return build(values)
 
 
 def _to_fields(values: dict, ideal) -> dict:
@@ -409,58 +372,6 @@ def naive_budget_check(singles, combined: McResult) -> BudgetReport:
                         joint_capacity_bits=combined.capacity_mean)
 
 
-# --- scenario files ---------------------------------------------------------
-
-_SCENARIO_KEYS = {"name": str, "active": str, "iterations": int, "seed": int,
-                  **{f"{p.key}.{kind}": float for p in PARAMS
-                     for kind in ("mean", "sigma")}}
-
-
-def _groups(text: str) -> frozenset:
-    return frozenset(g.strip() for g in text.split(",") if g.strip())
-
-
-def _scenario(values: dict) -> McScenario:
-    dists = {}
-    for p in PARAMS:
-        mean, sigma = f"{p.key}.mean", f"{p.key}.sigma"
-        if mean in values or sigma in values:
-            dists[p.key] = ParamDistribution(values.get(mean, p.default),
-                                             values.get(sigma, 0.0))
-    return McScenario(name=values.get("name", "custom"),
-                      active=_groups(values.get("active", "")),
-                      distributions=dists,
-                      iterations=values.get("iterations", DEFAULT_ITERATIONS),
-                      seed=values.get("seed", DEFAULT_SEED))
-
-
-def parse_scenario_text(text: str) -> McScenario:
-    """Parse the flat key=value scenario format.
-
-    Recognized keys: name=, active= (comma-separated groups),
-    iterations=, seed=, and per-parameter <param>.mean= / <param>.sigma=
-    with <param> a key of PARAMS (a missing mean is the knob's default).
-    Blank lines and #-comments are ignored; a value that McScenario or
-    ParamDistribution rejects fails with its line.
-    """
-    return parse_key_values(text, _SCENARIO_KEYS, _scenario)
-
-
-def parse_file(path, parse):
-    """parse(text of the file at path); a ValueError from parse names the path."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        return parse(text)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
-def load_scenario(path) -> McScenario:
-    """Parse the scenario file at ``path``; errors name the path and line."""
-    return parse_file(path, parse_scenario_text)
-
-
 # --- reporting --------------------------------------------------------------
 
 def result_to_json_dict(result: McResult) -> dict:
@@ -487,22 +398,3 @@ def result_to_json_dict(result: McResult) -> dict:
             "success_probability": [float(v) for v in result.success_probability],
         },
     }
-
-
-def render_table(results, budget: BudgetReport | None = None) -> str:
-    """Text table with one row per scenario."""
-    header = (f"{'imperfection':<14} {'success_probability':>24} "
-              f"{'capacity_bits':>24} {'reduction_bits':>15}")
-    lines = [header, "-" * len(header)]
-    for r in results:
-        succ = f"{r.success_mean:.6g} +/- {r.success_std:.2g}"
-        cap = f"{r.capacity_mean:.6g} +/- {r.capacity_std:.2g}"
-        lines.append(f"{r.scenario.name:<14} {succ:>24} {cap:>24} "
-                     f"{r.capacity_reduction:>15.6g}")
-    if budget is not None:
-        lines.append("")
-        lines.append(f"naive budget: 2 - sum(reductions) = "
-                     f"{budget.naive_capacity_bits:.6g} bits")
-        lines.append(f"joint simulation: {budget.joint_capacity_bits:.6g} bits "
-                     f"(difference {budget.discrepancy_bits:+.6g})")
-    return "\n".join(lines) + "\n"

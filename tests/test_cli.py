@@ -425,7 +425,7 @@ def test_montecarlo_csv_quotes_a_name_with_commas(capsys, tmp_path):
     header, row = csv.reader(io.StringIO(out))
     assert len(header) == len(row) == 6
     assert row[0] == 'spin, then "orbit"'
-    assert float(row[3]) == mc.run(mc.load_scenario(scenario)).capacity_mean
+    assert float(row[3]) == mc.run(cli.load_scenario(scenario)).capacity_mean
 
 
 def test_montecarlo_full_budget(capsys):
@@ -487,7 +487,7 @@ def test_montecarlo_scenario_file(capsys, tmp_path):
     doc = json.loads(out)
     got = doc["results"][0]
     assert got["scenario"]["name"] == "spin-wide"
-    want = mc.run(mc.load_scenario(scenario))
+    want = mc.run(cli.load_scenario(scenario))
     assert got["capacity_mean_bits"] == want.capacity_mean
     assert got["success_mean"] == want.success_mean
 

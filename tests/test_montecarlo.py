@@ -8,6 +8,7 @@ import pytest
 
 from hyperdense import montecarlo as mc
 from hyperdense.capacity import channel_capacity
+from hyperdense.cli import load_scenario, parse_scenario_text, render_table
 from hyperdense.optics import DEFAULT_ACCIDENTAL_FRACTION, GateParams, transfer_matrix
 from hyperdense.states import SourceParams
 
@@ -130,10 +131,10 @@ def test_iterations_have_an_upper_limit():
     mc.McScenario("largest", iterations=mc.MAX_ITERATIONS)
     with pytest.raises(ValueError, match="iterations must lie in"):
         mc.McScenario("huge", iterations=mc.MAX_ITERATIONS + 1)
-    assert mc.parse_scenario_text(
+    assert parse_scenario_text(
         f"iterations = {mc.MAX_ITERATIONS}\n").iterations == mc.MAX_ITERATIONS
     with pytest.raises(ValueError, match="line 2: iterations: iterations must lie in"):
-        mc.parse_scenario_text("name = huge\niterations = 100000000000\n")
+        parse_scenario_text("name = huge\niterations = 100000000000\n")
 
 
 def test_seed_must_lie_in_the_philox_key_range():
@@ -146,7 +147,7 @@ def test_seed_must_lie_in_the_philox_key_range():
                                              r"18446744073709551615\], got"):
             mc.McScenario("bad", seed=seed)
     with pytest.raises(ValueError, match="line 2: seed: seed must lie in"):
-        mc.parse_scenario_text("name = wide\nseed = 18446744073709551616\n")
+        parse_scenario_text("name = wide\nseed = 18446744073709551616\n")
 
 
 def test_zero_sigma_run_matches_deterministic_point():
@@ -286,7 +287,7 @@ source.eps_theta_spin_deg.mean = 1.5    # degrees
 source.eps_theta_spin_deg.sigma = 0.25
 source.lambda_orbit.mean = 0.02
 """
-    s = mc.parse_scenario_text(text)
+    s = parse_scenario_text(text)
     assert s.name == "tilted source"
     assert s.active == frozenset({"source-spin", "source-orbit"})
     assert s.iterations == 7
@@ -296,22 +297,22 @@ source.lambda_orbit.mean = 0.02
     assert s.distributions["source.lambda_orbit"].sigma == 0.0
 
     # a sigma without a mean is centred on the knob's default, not on 0
-    s = mc.parse_scenario_text("active = accidentals\n"
-                               "accidentals.fraction.sigma = 0.001\n")
+    s = parse_scenario_text("active = accidentals\n"
+                            "accidentals.fraction.sigma = 0.001\n")
     d = s.distributions["accidentals.fraction"]
     assert (d.mean, d.sigma) == (mc.DEFAULT_ACCIDENTAL_FRACTION, 0.001)
 
 
 def test_parse_scenario_text_errors():
     with pytest.raises(ValueError, match="line 2"):
-        mc.parse_scenario_text("name = x\nnot a pair\n")
+        parse_scenario_text("name = x\nnot a pair\n")
     with pytest.raises(ValueError, match="valid keys"):
-        mc.parse_scenario_text("gate.eps_h.mean = 0.1\n")
+        parse_scenario_text("gate.eps_h.mean = 0.1\n")
     # the PBS phases are sampled knobs like any other
-    s = mc.parse_scenario_text("gate.phi1_deg.mean = 0.1\n")
+    s = parse_scenario_text("gate.phi1_deg.mean = 0.1\n")
     assert s.distributions == {"gate.phi1_deg": mc.ParamDistribution(0.1)}
     with pytest.raises(ValueError, match="unknown imperfection groups"):
-        mc.parse_scenario_text("active = gremlins\n")
+        parse_scenario_text("active = gremlins\n")
 
 
 def test_load_scenario_runs_deterministic_point(tmp_path):
@@ -319,7 +320,7 @@ def test_load_scenario_runs_deterministic_point(tmp_path):
     path.write_text("name = filecheck\nactive = pbs-crosstalk\n"
                     "gate.eps_H.mean = 0.004\ngate.eps_V.mean = 0.012\n"
                     "iterations = 3\nseed = 5\n")
-    s = mc.load_scenario(path)
+    s = load_scenario(path)
     assert s.name == "filecheck"
     r = mc.run(s)
     t = transfer_matrix(SourceParams(), GateParams(eps_H=0.004, eps_V=0.012))
@@ -338,13 +339,13 @@ def test_result_json_dict_and_table():
     assert abs(d["capacity_mean_bits"] - r.capacity_mean) < 1e-15
     assert abs(d["capacity_reduction_bits"] - r.capacity_reduction) < 1e-15
 
-    table = mc.render_table([r])
+    table = render_table([r])
     assert "crosstalk" in table
     assert "capacity_bits" in table
     assert "naive budget" not in table
 
     budget = mc.naive_budget_check([r], r)
-    table = mc.render_table([r], budget)
+    table = render_table([r], budget)
     assert "naive budget" in table
     assert "joint simulation" in table
 

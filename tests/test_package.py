@@ -1,5 +1,6 @@
 """Checks on the package as a whole: docstrings, the README's knob table and
-API sketch, the benchmark's traced names and the oracles' independence."""
+API sketch, the benchmark's traced names, the oracles' independence and the
+one text layer."""
 
 from __future__ import annotations
 
@@ -84,3 +85,21 @@ def test_oracles_import_nothing_from_the_package():
             imported.append("." * node.level + (node.module or ""))
     assert imported and not [name for name in imported
                              if name.split(".")[0] in ("hyperdense", "")]
+
+
+def test_only_cli_opens_files_or_writes_text():
+    # cli is the text layer: the other modules take and return numbers and
+    # records, so a file format or an output stream has one home
+    found = []
+    for module_name in [m for m in MODULES if m != "cli"]:
+        path = Path(importlib.import_module(f"hyperdense.{module_name}").__file__)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("open", "print"):
+                    found.append(f"{module_name}:{node.lineno} {name}()")
+            elif (isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr")
+                  and isinstance(node.value, ast.Name) and node.value.id == "sys"):
+                found.append(f"{module_name}:{node.lineno} sys.{node.attr}")
+    assert found == []
