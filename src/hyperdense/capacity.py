@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optics import TransferMatrix, check_channel
-from .states import MESSAGES, PAIR_SIGNATURES, _number
+from .states import PAIR_SIGNATURES, Message, _number
 
 _LN2 = math.log(2.0)
 
@@ -145,7 +145,7 @@ def channel_capacity_stack(p, tol_bits: float = 1e-10,
     from the same r (Matz & Duhamel, ITW 2004), and moves to it only where
     its gap is strictly smaller.  Its mu, 2 at first, then doubles (up to
     64), and otherwise halves (down to 2: at 1 the two steps are one).  A
-    channel that hits max_iterations returns its current point, unconverged.
+    channel still open after max_iterations returns its point, unconverged.
     Returns arrays
     (capacity_bits, input_distributions, iterations, converged, gap_bits)
     of shape (n,), (n, m), (n,), (n,) and (n,); the channels are not
@@ -165,8 +165,8 @@ def channel_capacity_stack(p, tol_bits: float = 1e-10,
 
     i_low, gaps = np.empty((2, n))
     dists = np.empty((n, m))
-    iterations = np.full(n, max_iterations)
-    converged = np.zeros(n, dtype=bool)
+    iterations = np.empty(n, dtype=int)
+    converged = np.empty(n, dtype=bool)
     active = np.arange(n)
     r = np.full((n, m), 1.0 / m)
     d, low = _divergences(w, log_w, r)
@@ -174,17 +174,18 @@ def channel_capacity_stack(p, tol_bits: float = 1e-10,
     for it in range(1, max_iterations + 1):
         d_max = d.max(axis=1)
         gap = d_max - low
-        done = gap < tol_bits * _LN2
+        closed = gap < tol_bits * _LN2
+        done = closed | (it == max_iterations)
         if done.any():
             leaving = active[done]
             i_low[leaving] = low[done]
             gaps[leaving] = gap[done]
             dists[leaving] = r[done]
             iterations[leaving] = it
-            converged[leaving] = True
+            converged[leaving] = closed[done]
             active, w, log_w, r, d, d_max, low, gap, mu = (
                 v[~done] for v in (active, w, log_w, r, d, d_max, low, gap, mu))
-        if not active.size or it == max_iterations:
+        if not active.size:
             break
         ascent = d - d_max[:, None]
         point = _step(w, log_w, r, ascent)  # the plain step
@@ -196,16 +197,17 @@ def channel_capacity_stack(p, tol_bits: float = 1e-10,
                 v[better] = v_relaxed[better]
             mu = np.where(better, np.minimum(2.0 * mu, _MAX_RELAXATION), np.maximum(0.5 * mu, 2.0))
         r, d, low = point
-    i_low[active] = low
-    gaps[active] = gap
-    dists[active] = r
     return np.maximum(i_low / _LN2, 0.0), dists, iterations, converged, gaps / _LN2
 
 
 def average_success(t) -> float:
     """Mean of the diagonal: probability of detecting what was sent."""
-    p = _prob_matrix(t)
-    return float(np.mean(np.diag(p)))
+    return float(_mean_diagonal(_prob_matrix(t)))
+
+
+def _mean_diagonal(p) -> np.ndarray:
+    """Mean of the diagonal over the last two axes of p, one channel or a stack."""
+    return np.diagonal(p, axis1=-2, axis2=-1).mean(axis=-1)
 
 
 def snr_per_message(counts) -> list:
@@ -223,7 +225,7 @@ def snr_per_message(counts) -> list:
         raise ValueError("counts must be finite and non-negative")
     signal = np.diagonal(c @ PAIR_SIGNATURES)
     out = []
-    for m in MESSAGES:
+    for m in Message:
         total = c[m].sum()
         if total <= 0.0:
             raise ValueError(f"no counts recorded for sent message {m.label}")

@@ -156,7 +156,7 @@ def parse_counts_csv(text: str) -> np.ndarray:
     if len(lines) != 5:
         raise ValueError(f"counts CSV must have 4 data rows, got {len(lines) - 1}")
     counts = np.zeros((4, 16))
-    for i, m in enumerate(states.MESSAGES):
+    for i, m in enumerate(states.Message):
         cells = [c.strip() for c in lines[1 + i].split(",")]
         if len(cells) != 17:
             raise ValueError(f"row {i + 2}: expected 17 cells, got {len(cells)}")
@@ -276,7 +276,7 @@ def _cmd_analyze(args) -> str:
     if args.format == "json":
         return _json_text({
             "probabilities": optics.to_json_dict(t),
-            "snr": {m.label: snrs[m] for m in states.MESSAGES},
+            "snr": {m.label: snrs[m] for m in states.Message},
             "mutual_information_uniform_bits": mi_uniform,
             "capacity_bits": result.capacity_bits,
             "input_distribution": [float(v) for v in result.input_distribution],
@@ -284,12 +284,12 @@ def _cmd_analyze(args) -> str:
     if args.format == "csv":
         return _matrix_csv(t, {
             **{f"snr_{m.label}": "inf" if snrs[m] is None else snrs[m]
-               for m in states.MESSAGES},
+               for m in states.Message},
             "mutual_information_uniform_bits": mi_uniform,
             "capacity_bits": result.capacity_bits,
         })
     lines = _matrix_table("aggregated probabilities p(detected | sent)", t)
-    for m in states.MESSAGES:
+    for m in states.Message:
         s = "no noise counts" if snrs[m] is None else f"{snrs[m]:.6g}"
         lines.append(f"SNR {m.label}: {s}")
     lines.append(f"mutual information (uniform inputs): {mi_uniform:.6g} bits")

@@ -6,12 +6,13 @@ records its capacity and average success probability.  Draws come from
 a counter-based generator (Philox) keyed by (seed, iteration index), so
 iteration i produces the same values whatever other iterations run.
 
-run evaluates draws in blocks: each block is sampled as one column per
-knob, goes through the one analyzer (optics.transfer_matrix_stack) and
-one capacity.channel_capacity_stack solve, the one Blahut-Arimoto loop.
-sample_params gives one draw of the same columns as a record for the
-single-point API (transfer_matrix, apply_accidentals, channel_capacity),
-which runs the same analyzer and solver at n = 1.
+run evaluates draws in blocks and only orchestrates: each block is
+sampled as one column per knob, fed to the source and analyzer stacks in
+the order of the SourceParams and GateParams fields, mixed with
+accidentals by optics and solved by capacity.channel_capacity_stack, the
+one Blahut-Arimoto loop.  sample_params gives one draw as a record for
+the single-point API (transfer_matrix, apply_accidentals,
+channel_capacity, average_success), which runs the same formulas at n = 1.
 
 PARAMS is the one table of knobs: file keys, record fields, groups,
 sampling clamps, characterized budgets and active defaults.  The group
@@ -29,11 +30,12 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .capacity import channel_capacity_stack
+from .capacity import _mean_diagonal, channel_capacity_stack
 from .optics import (
     DEFAULT_ACCIDENTAL_FRACTION,
     AccidentalModel,
     GateParams,
+    _mix_accidentals,
     analyzer_unitary_stack,
     transfer_matrix_stack,
 )
@@ -268,6 +270,11 @@ def sample_params(scenario: McScenario, iteration_index: int) -> ImperfectionPar
     return ImperfectionParams(**{f: float(v[0]) for f, v in columns.items()})
 
 
+def _spread(values) -> float:
+    """Sample standard deviation (ddof = 1); 0.0 for fewer than two values."""
+    return float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+
+
 @dataclass(frozen=True)
 class McResult:
     """Capacity and success probability of every draw of one scenario.
@@ -291,9 +298,7 @@ class McResult:
 
     @property
     def capacity_std(self) -> float:
-        if self.iterations < 2:
-            return 0.0
-        return float(np.std(self.capacity_bits, ddof=1))
+        return _spread(self.capacity_bits)
 
     @property
     def success_mean(self) -> float:
@@ -301,9 +306,7 @@ class McResult:
 
     @property
     def success_std(self) -> float:
-        if self.iterations < 2:
-            return 0.0
-        return float(np.std(self.success_probability, ddof=1))
+        return _spread(self.success_probability)
 
     @property
     def capacity_reduction(self) -> float:
@@ -327,18 +330,14 @@ def run(scenario: McScenario, jobs: int = 1) -> McResult:
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
         c = _sample_columns(scenario, start, stop)
-        rho = build_source_stack(c["eps_theta_spin"], c["eps_phi_spin"],
-                                 c["lambda_spin"], c["eps_theta_orbit"],
-                                 c["eps_phi_orbit"], c["lambda_orbit"])
-        u = analyzer_unitary_stack(c["eps_H"], c["eps_V"], c["phi1"], c["phi2"])
-        p = transfer_matrix_stack(rho, u)
-        # optics.apply_accidentals, per draw; an inactive group's fraction is 0
-        f = c["accidental_fraction"][:, None, None]
-        p = (1.0 - f) * p + f / p.shape[1]
+        rho = build_source_stack(*(c[f.name] for f in fields(SourceParams)))
+        u = analyzer_unitary_stack(*(c[f.name] for f in fields(GateParams)))
+        # an inactive group's fraction is 0, so every draw goes through the mix
+        p = _mix_accidentals(transfer_matrix_stack(rho, u), c["accidental_fraction"])
         bits, _, _, converged, _ = channel_capacity_stack(p)
         caps[start:stop] = bits
         uncertified += int(np.count_nonzero(~converged))
-        succ[start:stop] = np.diagonal(p, axis1=1, axis2=2).mean(axis=1)
+        succ[start:stop] = _mean_diagonal(p)
     return McResult(scenario=scenario, capacity_bits=caps,
                     success_probability=succ, uncertified=uncertified)
 

@@ -36,9 +36,10 @@ import numpy as np
 from .states import (
     _BELL_KETS,
     MESSAGE_LABELS,
-    MESSAGES,
     PAIR_SIGNATURES,
+    Message,
     SourceParams,
+    _check_fields,
     _number,
     build_source,
     encoding_operator,
@@ -57,9 +58,7 @@ class GateParams:
     phi2: float = 0.0
 
     def __post_init__(self):
-        for f in fields(self):
-            bounds = (0, 1) if f.name.startswith("eps") else ()
-            object.__setattr__(self, f.name, _number(f.name, getattr(self, f.name), *bounds))
+        _check_fields(self, "eps")
 
 
 @dataclass(frozen=True)
@@ -119,8 +118,8 @@ class TransferMatrix:
 
 def analyzer_unitary(gate: GateParams) -> np.ndarray:
     """Hologram followed by the PBS for one photon (4x4 unitary)."""
-    return analyzer_unitary_stack([gate.eps_H], [gate.eps_V], [gate.phi1],
-                                  [gate.phi2])[0]
+    return analyzer_unitary_stack(
+        *([getattr(gate, f.name)] for f in fields(GateParams)))[0]
 
 
 def two_photon_gate(gate: GateParams) -> np.ndarray:
@@ -144,8 +143,13 @@ def transfer_matrix(source: SourceParams = SourceParams(),
 def apply_accidentals(t: TransferMatrix,
                       accidentals: AccidentalModel) -> TransferMatrix:
     """Mix a uniform accidental-coincidence floor into the matrix."""
-    f = accidentals.fraction
-    return TransferMatrix((1.0 - f) * t.probabilities + f / 4)
+    return TransferMatrix(_mix_accidentals(t.probabilities, accidentals.fraction))
+
+
+def _mix_accidentals(p, fraction) -> np.ndarray:
+    """(1 - f) p + f/4 for channels p[..., y, x], one fraction f per channel."""
+    f = np.asarray(fraction, dtype=float)[..., None, None]
+    return (1.0 - f) * p + f / 4
 
 
 # --- stacks of settings ------------------------------------------------------
@@ -176,7 +180,7 @@ def analyzer_unitary_stack(eps_H, eps_V, phi1, phi2) -> np.ndarray:
 # Built once: one photon's Bell bras after the ideal analyzer, and the
 # Pauli of each message on photon 2's modes.
 _READOUT = _BELL_KETS.conj() @ analyzer_unitary(GateParams()).conj().T
-_ENCODINGS = np.array([encoding_operator(m)[:4, :4] for m in MESSAGES])
+_ENCODINGS = np.array([encoding_operator(m)[:4, :4] for m in Message])
 
 
 def _outer_rows(a: np.ndarray) -> np.ndarray:

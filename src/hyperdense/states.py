@@ -25,7 +25,7 @@ Single-photon spin-orbit Bell states, used as the analysis basis:
 Each encoded two-photon state is supported on exactly four of the 16
 spin-orbit pair products, with amplitudes of magnitude 1/2; the pair
 sets partition the 16 products into the four messages (message_of_pair,
-tabulated as PAIR_MESSAGES and, one-hot, as PAIR_SIGNATURES, the one
+tabulated one-hot over BELL_PAIRS as PAIR_SIGNATURES, the one
 pair-to-message table that the analyzer, the counts aggregation and the
 SNR read).  MESSAGE_LABELS is the one tuple of message labels.
 
@@ -34,7 +34,7 @@ is a one-setting call of build_source_stack, and encoded_ket reads the
 ideal pair kets as rows of the same model.
 
 _number is the one check of a scalar knob, shared by every record, file
-line and solver argument of the package.
+line and solver argument of the package, through _check_fields for a record.
 """
 
 from __future__ import annotations
@@ -77,6 +77,13 @@ def _number(name: str, value, lo=-math.inf, hi=math.inf, kind=float):
     return v
 
 
+def _check_fields(record, unit_prefix: str) -> None:
+    """_number on every field of a frozen record; unit_prefix* fields lie in [0, 1]."""
+    for f in fields(record):
+        bounds = (0, 1) if f.name.startswith(unit_prefix) else ()
+        object.__setattr__(record, f.name, _number(f.name, getattr(record, f.name), *bounds))
+
+
 class Message(enum.IntEnum):
     """The four superdense-coding messages, in canonical order."""
 
@@ -95,9 +102,6 @@ class Message(enum.IntEnum):
             raise ValueError(f"unknown message label {label!r}, expected one "
                              f"of {list(MESSAGE_LABELS)}")
         return cls(MESSAGE_LABELS.index(label))
-
-
-MESSAGES = tuple(Message)
 
 
 _BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
@@ -122,11 +126,9 @@ class SpinOrbitBellLabel(enum.IntEnum):
         return _BELL_ASCII[self]
 
 
-BELL_LABELS = tuple(SpinOrbitBellLabel)
-
 # All 16 (photon1, photon2) spin-orbit Bell pairs in canonical order:
 # photon-1 label major, photon-2 label minor.
-BELL_PAIRS = tuple(itertools.product(BELL_LABELS, BELL_LABELS))
+BELL_PAIRS = tuple(itertools.product(SpinOrbitBellLabel, repeat=2))
 
 # Row l is the ket of label l in the (Hl, Hr, Vl, Vr) basis.
 _BELL_KETS = np.array([[1, 0, 0, 1], [1, 0, 0, -1],
@@ -152,9 +154,7 @@ class SourceParams:
     lambda_orbit: float = 0.0
 
     def __post_init__(self):
-        for f in fields(self):
-            bounds = (0, 1) if f.name.startswith("lambda") else ()
-            object.__setattr__(self, f.name, _number(f.name, getattr(self, f.name), *bounds))
+        _check_fields(self, "lambda")
 
 
 # (first, last, sign): the ket cos(pi/4+t)|first> + sign e^(i p) sin(pi/4+t)|last>
@@ -267,10 +267,7 @@ def message_of_pair(label1: SpinOrbitBellLabel,
     return Message(label1 ^ label2 ^ 2)
 
 
-# PAIR_MESSAGES[l1*4 + l2] is message_of_pair(l1, l2): one entry per
-# canonical Bell-pair column (photon-1 label major).
-PAIR_MESSAGES = np.array([message_of_pair(l1, l2) for l1, l2 in BELL_PAIRS])
-# PAIR_SIGNATURES[k, m] = 1 when canonical pair column k signals message m,
-# so counts @ PAIR_SIGNATURES sums each message's four pairs.
-PAIR_SIGNATURES = np.eye(4)[PAIR_MESSAGES]
+# PAIR_SIGNATURES[k, m] = 1 when pair column k, BELL_PAIRS[k], signals
+# message m, so counts @ PAIR_SIGNATURES sums each message's four pairs.
+PAIR_SIGNATURES = np.eye(4)[[message_of_pair(l1, l2) for l1, l2 in BELL_PAIRS]]
 

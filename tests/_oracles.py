@@ -201,21 +201,9 @@ def symmetric_capacity(p: np.ndarray) -> float:
     return float(2.0 + np.sum(row * np.log2(row)))
 
 
-def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
-
-
 def random_ket(rng: np.random.Generator, dim: int) -> np.ndarray:
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return psi / np.linalg.norm(psi)
-
-
-def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(g)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 def random_channel(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -136,14 +136,14 @@ def test_encoded_states_have_four_half_amplitude_signatures():
         states.Message.PSI_PLUS: {(0, 0): 1, (1, 1): -1, (2, 2): 1, (3, 3): -1},
         states.Message.PSI_MINUS: {(0, 1): -1, (1, 0): 1, (2, 3): -1, (3, 2): 1},
     }
-    for message in states.MESSAGES:
+    for message in states.Message:
         amps = states.spin_orbit_decompose(states.encoded_ket(message))
         live = {(i, j) for i in range(4) for j in range(4)
                 if abs(amps[i, j]) > 1e-12}
         assert len(live) == 4
         assert live == set(signs[message])
         assert live == {divmod(int(j), 4)
-                        for j in np.flatnonzero(states.PAIR_MESSAGES == message)}
+                        for j in np.flatnonzero(states.PAIR_SIGNATURES[:, message])}
         want = np.zeros((4, 4))
         for (i, j), sign in signs[message].items():
             assert abs(amps[i, j] - sign * 0.5) < 1e-12

@@ -191,7 +191,15 @@ def test_capacity_iteration_cap_flags_nonconvergence():
     result = cap.channel_capacity(t, tol_bits=1e-14, max_iterations=1)
     assert not result.converged
     assert result.iterations == 1
-    assert result.capacity_bits <= cap.channel_capacity(t).capacity_bits + 1e-12
+    uncapped = cap.channel_capacity(t)
+    assert result.capacity_bits <= uncapped.capacity_bits + 1e-12
+    # at the default tol_bits its gap closes at iteration 42: a solve capped
+    # there closes on its last iteration, one capped at 41 does not
+    assert uncapped.iterations == 42
+    at_cap = cap.channel_capacity(t, max_iterations=42)
+    assert at_cap.converged and at_cap.iterations == 42
+    assert at_cap.capacity_bits == uncapped.capacity_bits
+    assert not cap.channel_capacity(t, max_iterations=41).converged
 
 
 def test_empty_stack_returns_at_once(monkeypatch):
@@ -231,7 +239,7 @@ def test_nearly_useless_binary_channels_converge():
 
 def test_relaxation_closes_a_badly_aligned_analyzer_channel():
     # the benchmark's misalignment-0.95 flip model, aggregated by
-    # PAIR_MESSAGES (C = 0.0075698 bits): the plain loop needs thousands of
+    # PAIR_SIGNATURES (C = 0.0075698 bits): the plain loop needs thousands of
     # iterations, the over-relaxed steps a few hundred
     p = np.array([
         [0.28692848296875, 0.243024076328125, 0.25638959070312506, 0.21459171187499998],
@@ -294,21 +302,22 @@ def test_average_success():
 
 
 def test_snr_per_message():
+    pair_messages = states.PAIR_SIGNATURES.argmax(axis=1)
     counts = np.zeros((4, 16))
-    for m in states.MESSAGES:
-        counts[m, states.PAIR_MESSAGES == m] = 200.0
+    for m in states.Message:
+        counts[m, pair_messages == m] = 200.0
     assert cap.snr_per_message(counts) == [None, None, None, None]
 
     noisy = counts.copy()
     noisy[0, :] += 10.0 / 12.0
-    noisy[0, states.PAIR_MESSAGES == states.Message.PHI_PLUS] = 190.0 / 4.0
+    noisy[0, pair_messages == states.Message.PHI_PLUS] = 190.0 / 4.0
     snrs = cap.snr_per_message(noisy)
     assert abs(snrs[0] - 19.0) < 1e-12
     assert snrs[1:] == [None, None, None]
 
     expect = np.zeros((4, 16))
-    for m in states.MESSAGES:
-        expect[m] = np.where(states.PAIR_MESSAGES == m, 711.0, 13.0)
+    for m in states.Message:
+        expect[m] = np.where(pair_messages == m, 711.0, 13.0)
     for snr in cap.snr_per_message(expect):
         assert abs(snr - 2844.0 / 156.0) < 1e-12
         assert abs(snr - 18.2) < 0.04

@@ -32,8 +32,9 @@ def run_cli(capsys, *argv):
 def make_counts_csv(signal: int, noise: int) -> str:
     """Counts table with `signal` in every signature column, `noise` elsewhere."""
     lines = [",".join(cli._COUNTS_HEADER)]
-    for m in states.MESSAGES:
-        row = [signal if pm == m else noise for pm in states.PAIR_MESSAGES]
+    for m in states.Message:
+        row = [signal if pm == m else noise
+               for pm in states.PAIR_SIGNATURES.argmax(axis=1)]
         lines.append(",".join([m.label] + [str(v) for v in row]))
     return "\n".join(lines) + "\n"
 

@@ -193,7 +193,7 @@ def _reference_draw(scenario: mc.McScenario, i: int) -> dict:
     return out
 
 
-_SAMPLED_KEYS = [p.key for p in mc.PARAMS if p.group is not None]
+_SAMPLED_KEYS = [p.key for p in mc.PARAMS]
 
 
 @st.composite

@@ -117,7 +117,7 @@ def test_pair_readout_is_complete():
     assert np.allclose(total, np.eye(16), atol=1e-12)
 
     u = optics.two_photon_gate(GateParams())
-    for m in states.MESSAGES:
+    for m in states.Message:
         rho = states.encode(states.build_source(states.SourceParams()), m)
         analyzed = u @ rho @ u.conj().T
         pairs = np.einsum("ki,ij,kj->k", readout, analyzed, readout.conj()).real

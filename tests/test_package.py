@@ -1,6 +1,6 @@
 """Checks on the package as a whole: docstrings, the README's knob table and
-API sketch, the benchmark's traced names, the oracles' independence and the
-one text layer."""
+API sketch, the benchmark's traced names and one benchmark op, the oracles'
+independence and the one text layer."""
 
 from __future__ import annotations
 
@@ -13,7 +13,8 @@ from pathlib import Path
 from hyperdense import montecarlo as mc
 
 MODULES = ("states", "optics", "capacity", "montecarlo", "cli")
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 README = Path(__file__).resolve().parents[1] / "README.md"
 ORACLES = Path(__file__).resolve().parent / "_oracles.py"
 
@@ -72,6 +73,29 @@ def test_traced_benchmark_names_resolve_to_callables():
                   if not callable(getattr(importlib.import_module(
                       f"hyperdense.{module_name}"), name, None))]
     assert tracer.TRACED and unresolved == []
+
+
+def test_benchmark_mc_budget_op_runs_and_passes_its_checks(monkeypatch):
+    # One traced mc-budget op as the benchmark runs it: run(jobs=1) on the
+    # five builtins, then its own output checks, which rebuild draws through
+    # sample_params and the records.  The perfbench files are loaded as they
+    # are, never edited.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    inputs = importlib.import_module("inputs")
+    tracer = importlib.import_module("tracer")
+    worker = importlib.import_module("worker")
+    t = tracer.Tracer()
+    t.install()
+    try:
+        workload = worker.McBudget()
+        workload.setup()
+        units, output = workload.run_op(inputs.PINNED_SEED, t)
+        problems = workload.check(inputs.PINNED_SEED, output)
+    finally:
+        t.uninstall()
+    assert units == 500 and problems == []
+    # five scenarios, three subsampled draws each, all seen by the tracer
+    assert t.stats.as_dict()["draws"] == 15
 
 
 def test_oracles_import_nothing_from_the_package():

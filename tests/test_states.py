@@ -29,8 +29,8 @@ def _model_ket(which: str, eps_theta: float, eps_phi: float) -> np.ndarray:
 
 
 def test_message_enum():
-    assert [m.label for m in states.MESSAGES] == ["Phi+", "Phi-", "Psi+", "Psi-"]
-    assert [int(m) for m in states.MESSAGES] == [0, 1, 2, 3]
+    assert [m.label for m in states.Message] == ["Phi+", "Phi-", "Psi+", "Psi-"]
+    assert [int(m) for m in states.Message] == [0, 1, 2, 3]
     assert Message.from_label("Psi-") is Message.PSI_MINUS
     with pytest.raises(ValueError):
         Message.from_label("Chi+")
@@ -47,8 +47,8 @@ def test_spin_orbit_bell_kets():
     for label, amps in want.items():
         ket = states._BELL_KETS[label]
         assert np.allclose(ket, np.array(amps) / _SQRT2, atol=1e-15)
-    for a in states.BELL_LABELS:
-        for b in states.BELL_LABELS:
+    for a in SpinOrbitBellLabel:
+        for b in SpinOrbitBellLabel:
             overlap = np.vdot(states._BELL_KETS[a], states._BELL_KETS[b])
             assert abs(overlap - (1.0 if a == b else 0.0)) < 1e-15
 
@@ -166,7 +166,7 @@ def test_encode():
     assert np.allclose(twice, ideal, atol=1e-12)
 
     mixed = states.build_source(states.SourceParams(lambda_spin=0.4, lambda_orbit=0.1))
-    for m in states.MESSAGES:
+    for m in states.Message:
         out = states.encode(mixed, m)
         assert abs(purity(out) - purity(mixed)) < 1e-12
         assert np.allclose(np.linalg.eigvalsh(out), np.linalg.eigvalsh(mixed),
@@ -175,14 +175,14 @@ def test_encode():
 
 def test_encoded_ket_matches_encode():
     ideal = states.build_source(states.SourceParams())
-    for m in states.MESSAGES:
+    for m in states.Message:
         ket = states.encoded_ket(m)
         assert np.allclose(np.outer(ket, ket.conj()),
                            states.encode(ideal, m), atol=1e-12)
 
 
 def test_encoded_states_mutually_orthogonal():
-    kets = [states.encoded_ket(m) for m in states.MESSAGES]
+    kets = [states.encoded_ket(m) for m in states.Message]
     for i in range(4):
         for j in range(4):
             want = 1.0 if i == j else 0.0
@@ -228,9 +228,10 @@ def test_decompose_signatures_and_signs():
 
 
 def test_pair_messages_partition_and_match_decomposition():
+    pair_messages = states.PAIR_SIGNATURES.argmax(axis=1)
     seen = set()
-    for m in states.MESSAGES:
-        pairs = {pair for pair, pm in zip(states.BELL_PAIRS, states.PAIR_MESSAGES)
+    for m in states.Message:
+        pairs = {pair for pair, pm in zip(states.BELL_PAIRS, pair_messages)
                  if pm == m}
         assert len(pairs) == 4
         assert not (pairs & seen)
@@ -243,8 +244,8 @@ def test_pair_messages_partition_and_match_decomposition():
     assert len(seen) == 16
     for l1, l2 in seen:
         m = states.message_of_pair(l1, l2)
-        assert states.PAIR_MESSAGES[l1 * 4 + l2] == m
+        assert pair_messages[l1 * 4 + l2] == m
     # the engine reads its (l2, l1)-major pairs with the same table
-    table = states.PAIR_MESSAGES.reshape(4, 4)
+    table = pair_messages.reshape(4, 4)
     assert np.array_equal(table, table.T)
 
