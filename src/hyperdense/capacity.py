@@ -10,12 +10,12 @@ takes it only if it leaves the bracket I(p) <= C <= max_x D(x) narrower.
 Every solve stops on that gap, and reports it, so a returned capacity is
 certified to tol_bits.
 
-bound_channel bounds the achievable (success probability, capacity)
-region of an n-message encoding, n = 3 or 4.  Its lower channel spreads
-the errors uniformly, so it meets Fano's inequality with equality for
-uniform inputs (Cover & Thomas, Elements of Information Theory, 2nd ed.,
-sec. 2.10); its upper channel puts every error into one binary symmetric
-pair and keeps the other n - 2 symbols noiseless.
+bound_capacity bounds the achievable (success probability, capacity)
+region of an n-message encoding, n = 3 or 4, in closed form.  Its lower
+channel spreads the errors uniformly, meeting Fano's inequality with
+equality (Cover & Thomas, Elements of Information Theory, 2nd ed., sec.
+2.10); its upper channel puts every error into one binary symmetric pair
+beside n - 2 noiseless symbols (the choice-of-channels rule, ibid. ch. 7).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .states import PAIR_SIGNATURES, Message, _number
 
 _LN2 = math.log(2.0)
 
-# Most points bound_curve samples on one curve, all solved in one stack.
+# Most points bound_curve samples on one curve.
 MAX_RESOLUTION = 10_000
 
 
@@ -245,32 +245,38 @@ def _check_curve(encoding: int, which: str) -> int:
     return encoding
 
 
-def bound_channel(encoding: int, which: str, p_s: float) -> np.ndarray:
-    """Bound channel p[y, x] of n = encoding symbols at average success p_s.
+def _binary_entropy(q: float) -> float:
+    """h(q) in bits, 0 at q = 0 and q = 1."""
+    if q <= 0.0 or q >= 1.0:
+        return 0.0
+    return -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q)
 
-    An n x n array that has passed check_channel, not a TransferMatrix:
-    its symbols are abstract, not the four messages.
-    "lower": diagonal p_s, (1 - p_s)/(n - 1) elsewhere; p_s in [1/n, 1].
-    "upper": a binary symmetric pair with diagonal (n*p_s - n + 2)/2, then
-    n - 2 noiseless symbols; p_s in [(n - 2)/n, 1].
+
+def bound_capacity(encoding: int, which: str, p_s: float) -> float:
+    """Capacity in bits of n = encoding symbols' bound channel at success p_s.
+
+    "lower": diagonal p_s, (1 - p_s)/(n - 1) elsewhere, p_s in [1/n, 1]:
+    C = log2 n - h(p_s) - (1 - p_s) log2(n - 1).  "upper": a binary
+    symmetric pair with diagonal d = (n p_s - n + 2)/2 beside n - 2
+    noiseless symbols, p_s in [(n - 2)/n, 1]: C = log2(2^(1 - h(d)) + n - 2).
+    Evaluated with math, not numpy, so no SIMD loop sets the rounding, and
+    clamped at 0.
     """
     n = _check_curve(encoding, which)
     p_s = _number("p_s", p_s, 1.0 / n if which == "lower" else (n - 2) / n, 1)
     if which == "lower":
-        p = np.full((n, n), (1.0 - p_s) / (n - 1))
-        np.fill_diagonal(p, p_s)
+        c = math.log2(n) - _binary_entropy(p_s) - (1.0 - p_s) * math.log2(n - 1)
     else:
         d = (n * p_s - n + 2) / 2
-        p = np.eye(n)
-        p[:2, :2] = [[d, 1.0 - d], [1.0 - d, d]]
-    return check_channel(p)
+        c = math.log2(2.0 ** (1.0 - _binary_entropy(d)) + n - 2)
+    return max(c, 0.0)
 
 
 def bound_curve(encoding: int, which: str, resolution: int = 50) -> np.ndarray:
     """Sample (p_s, capacity_bits) along one bound curve.
 
     encoding is n = 3 or 4, which is "lower" or "upper" (see
-    bound_channel).  Each curve is evaluated on the p_s range where its
+    bound_capacity).  Each curve is evaluated on the p_s range where its
     capacity rises monotonically to the noiseless limit: lower curves
     start at p_s = 1/n (uniform output, zero capacity), upper curves at
     p_s = (n - 1)/n, where the noisy pair carries nothing.
@@ -279,6 +285,4 @@ def bound_curve(encoding: int, which: str, resolution: int = 50) -> np.ndarray:
     encoding = _check_curve(encoding, which)
     start = 1.0 / encoding if which == "lower" else (encoding - 1) / encoding
     ps = np.linspace(start, 1.0, resolution)
-    caps = channel_capacity_stack(
-        np.stack([bound_channel(encoding, which, p) for p in ps]))[0]
-    return np.column_stack([ps, caps])
+    return np.column_stack([ps, [bound_capacity(encoding, which, p) for p in ps]])

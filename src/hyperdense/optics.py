@@ -201,9 +201,10 @@ def transfer_matrix_stack(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     diag(W_x rho W_x+).  Photon 1 is contracted once, photon 2 once per
     message, each as a product with the outer products of 4-entry rows;
     pairs are then summed by states.PAIR_SIGNATURES.  The raw matrices
-    must pass check_channel, so an incomplete readout fails here; what
-    the guard then removes is rounding: entries are clipped at 0 and
-    columns renormalized.
+    must pass check_channel, so an incomplete readout fails here.  Column
+    sums are left as computed, within about 1e-15 of 1, but entries are
+    clipped at 0: rounding leaves some just below it (-1.2e-32 in the
+    ideal channel), a negative probability in print and in the solver.
     """
     n = len(u)
     a = _READOUT @ u
@@ -216,9 +217,7 @@ def transfer_matrix_stack(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     pairs = (_outer_rows(c) @ t.transpose(0, 2, 1)).real
     # pairs are (l2, l1)-major; the table still fits, as message_of_pair is symmetric
     p = (pairs.reshape(n, 4, 16) @ PAIR_SIGNATURES).transpose(0, 2, 1)
-    p = np.clip(check_channel(p), 0.0, None)
-    p /= p.sum(axis=1, keepdims=True)
-    return p
+    return np.clip(check_channel(p), 0.0, None)
 
 
 # --- serialization ---------------------------------------------------------

@@ -40,6 +40,23 @@ def split_channel_capacity_3(p_s: float) -> float:
     return np.log2(1.0 + 2.0 ** (1.0 - binary_entropy(1.5 * (1.0 - p_s))))
 
 
+def bound_channel(n: int, which: str, p_s: float) -> np.ndarray:
+    """Bound channel p[y, x] of n symbols at average success p_s.
+
+    "lower": diagonal p_s, (1 - p_s)/(n - 1) elsewhere, for p_s in [1/n, 1].
+    "upper": a binary symmetric pair with diagonal (n p_s - n + 2)/2, then
+    n - 2 noiseless symbols, for p_s in [(n - 2)/n, 1].
+    """
+    if which == "lower":
+        p = np.full((n, n), (1.0 - p_s) / (n - 1))
+        np.fill_diagonal(p, p_s)
+        return p
+    d = (n * p_s - n + 2) / 2
+    p = np.eye(n)
+    p[:2, :2] = [[d, 1.0 - d], [1.0 - d, d]]
+    return p
+
+
 def binary_channel_capacity(p: np.ndarray) -> float:
     """Closed-form capacity of a nonsingular 2x2 channel p[y, x] in bits.
 

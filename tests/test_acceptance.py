@@ -17,6 +17,7 @@ from hyperdense import cli, optics, states
 from hyperdense import montecarlo as mc
 
 from _oracles import (
+    bound_channel,
     grid_capacity,
     linear_entropy,
     orbit_marginal,
@@ -77,21 +78,23 @@ def test_naive_reduction_sum_underestimates_joint_capacity():
 
 def test_capacity_of_uniform_noise_matches_closed_form():
     for p_s in np.linspace(0.3, 1.0, 20):
-        got = cap.channel_capacity(cap.bound_channel(4, "lower", p_s)).capacity_bits
+        got = cap.channel_capacity(bound_channel(4, "lower", p_s)).capacity_bits
         assert abs(got - uniform_noise_capacity(p_s)) < 1e-6, p_s
+        assert abs(cap.bound_capacity(4, "lower", p_s) - uniform_noise_capacity(p_s)) < 1e-12
 
 
 def test_capacity_of_split_channel_matches_closed_form():
     for p_s in np.linspace(0.5, 1.0, 20):
-        got = cap.channel_capacity(cap.bound_channel(4, "upper", p_s)).capacity_bits
+        got = cap.channel_capacity(bound_channel(4, "upper", p_s)).capacity_bits
         assert abs(got - split_channel_capacity_4(p_s)) < 1e-6, p_s
+        assert abs(cap.bound_capacity(4, "upper", p_s) - split_channel_capacity_4(p_s)) < 1e-12
     # The linear-optics limit log2(3) is the minimum of the closed form, at
     # p_s = 0.75 (diagonal 2p_s-1 = 1/2), where the upper curve starts.  At
     # p_s = 0.5 the noisy pair is a noiseless swap, so C = log2(2 + 2^1) = 2.
     at_threshold = cap.channel_capacity(
-        cap.bound_channel(4, "upper", 0.75)).capacity_bits
+        bound_channel(4, "upper", 0.75)).capacity_bits
     assert abs(at_threshold - math.log2(3.0)) < 1e-9, at_threshold
-    at_half = cap.channel_capacity(cap.bound_channel(4, "upper", 0.5)).capacity_bits
+    at_half = cap.channel_capacity(bound_channel(4, "upper", 0.5)).capacity_bits
     assert abs(at_half - 2.0) < 1e-9, at_half
     first_p_s, first_bits = cap.bound_curve(4, "upper")[0]
     assert first_p_s == 0.75
@@ -99,8 +102,8 @@ def test_capacity_of_split_channel_matches_closed_form():
 
 
 def test_reported_operating_point_lies_between_bounds():
-    lower = cap.channel_capacity(cap.bound_channel(4, "lower", 0.948)).capacity_bits
-    upper = cap.channel_capacity(cap.bound_channel(4, "upper", 0.948)).capacity_bits
+    lower = cap.bound_capacity(4, "lower", 0.948)
+    upper = cap.bound_capacity(4, "upper", 0.948)
     assert lower <= 1.630 <= upper
     assert abs(lower - 1.6227) < 1e-3
 
@@ -112,8 +115,7 @@ def test_montecarlo_headline_lies_between_bounds():
     result = mc.run(mc.builtin_scenario("all"))
     assert result.scenario.seed == 6 and result.uncertified == 0
     p_s = result.success_mean
-    lower, upper = (cap.channel_capacity(cap.bound_channel(4, which, p_s)).capacity_bits
-                    for which in ("lower", "upper"))
+    lower, upper = (cap.bound_capacity(4, which, p_s) for which in ("lower", "upper"))
     assert lower <= result.capacity_mean <= upper
 
 

@@ -16,6 +16,7 @@ from _oracles import (
     binary_channel_capacity,
     binary_entropy,
     blahut_arimoto,
+    bound_channel,
     divergences,
     grid_capacity,
     mutual_information_rows,
@@ -81,7 +82,7 @@ def test_mutual_information_reference_channels():
     assert abs(cap.mutual_information(uniform, np.eye(4)) - 2.0) < 1e-12
     flat = np.full((4, 4), 0.25)
     assert abs(cap.mutual_information(uniform, flat)) < 1e-12
-    t = cap.bound_channel(4, "lower", 0.948)
+    t = bound_channel(4, "lower", 0.948)
     want = uniform_noise_capacity(0.948)
     assert abs(cap.mutual_information(uniform, t) - want) < 1e-12
     with pytest.raises(ValueError):
@@ -124,14 +125,14 @@ def test_capacity_identity_channel():
 
 
 def test_capacity_uniform_noise_closed_form():
-    result = cap.channel_capacity(cap.bound_channel(4, "lower", 0.948))
+    result = cap.channel_capacity(bound_channel(4, "lower", 0.948))
     assert abs(result.capacity_bits - uniform_noise_capacity(0.948)) < 1e-9
     assert abs(result.capacity_bits - 1.6227) < 1e-4
     assert np.allclose(result.input_distribution, 0.25, atol=1e-6)
 
 
 def test_capacity_split_channel_closed_form():
-    result = cap.channel_capacity(cap.bound_channel(4, "upper", 0.948))
+    result = cap.channel_capacity(bound_channel(4, "upper", 0.948))
     assert abs(result.capacity_bits - split_channel_capacity_4(0.948)) < 1e-9
     assert abs(result.capacity_bits - 1.779) < 1e-3
 
@@ -335,62 +336,69 @@ def test_snr_per_message():
 
 
 def test_bound_lower_4_structure():
-    assert np.allclose(cap.bound_channel(4, "lower", 1.0), np.eye(4),
+    assert np.allclose(bound_channel(4, "lower", 1.0), np.eye(4),
                        atol=1e-15)
-    quarter = cap.bound_channel(4, "lower", 0.25)
+    quarter = bound_channel(4, "lower", 0.25)
     assert np.allclose(quarter, 0.25, atol=1e-15)
     assert abs(cap.channel_capacity(quarter).capacity_bits) < 1e-9
-    t = cap.bound_channel(4, "lower", 0.948)
+    assert cap.bound_capacity(4, "lower", 0.25) == 0.0
+    assert cap.bound_capacity(4, "lower", 1.0) == 2.0
+    t = bound_channel(4, "lower", 0.948)
     assert np.allclose(np.diag(t), 0.948, atol=1e-15)
     off = t[~np.eye(4, dtype=bool)]
     assert np.allclose(off, 0.052 / 3.0, atol=1e-15)
     with pytest.raises(ValueError):
-        cap.bound_channel(4, "lower", 0.2)
+        cap.bound_capacity(4, "lower", 0.2)
     with pytest.raises(ValueError):
-        cap.bound_channel(4, "lower", 1.1)
+        cap.bound_capacity(4, "lower", 1.1)
     with pytest.raises(ValueError, match="encoding must be an integer, got 4.0"):
-        cap.bound_channel(4.0, "lower", 0.5)
+        cap.bound_capacity(4.0, "lower", 0.5)
     with pytest.raises(ValueError, match="p_s must be a real number, got '0.5'"):
-        cap.bound_channel(4, "lower", "0.5")
+        cap.bound_capacity(4, "lower", "0.5")
 
 
 def test_bound_upper_4_structure():
-    assert np.allclose(cap.bound_channel(4, "upper", 1.0), np.eye(4),
+    assert np.allclose(bound_channel(4, "upper", 1.0), np.eye(4),
                        atol=1e-15)
-    t = cap.bound_channel(4, "upper", 0.948)
+    t = bound_channel(4, "upper", 0.948)
     assert np.allclose(np.diag(t), [0.896, 0.896, 1.0, 1.0], atol=1e-12)
     assert abs(t[0, 1] - 0.104) < 1e-12 and abs(t[1, 0] - 0.104) < 1e-12
     assert np.max(np.abs(t[2:, :2])) == 0.0 and np.max(np.abs(t[:2, 2:])) == 0.0
+    assert cap.bound_capacity(4, "upper", 0.5) == 2.0
     with pytest.raises(ValueError):
-        cap.bound_channel(4, "upper", 0.49)
+        cap.bound_capacity(4, "upper", 0.49)
 
 
 def test_bound_3_structure():
-    t = cap.bound_channel(3, "lower", 1.0)
+    t = bound_channel(3, "lower", 1.0)
     assert np.allclose(t, np.eye(3), atol=1e-15)
     assert abs(cap.channel_capacity(t).capacity_bits - math.log2(3.0)) < 1e-9
-    third = cap.bound_channel(3, "lower", 1.0 / 3.0)
+    third = bound_channel(3, "lower", 1.0 / 3.0)
     assert abs(cap.channel_capacity(third).capacity_bits) < 1e-9
+    # unclamped, the formula gives -2.2e-16 here
+    assert cap.bound_capacity(3, "lower", 1.0 / 3.0) == 0.0
 
-    upper = cap.bound_channel(3, "upper", 0.9)
+    upper = bound_channel(3, "upper", 0.9)
     got = cap.channel_capacity(upper).capacity_bits
     assert abs(got - split_channel_capacity_3(0.9)) < 1e-9
     with pytest.raises(ValueError):
-        cap.bound_channel(3, "lower", 0.2)
+        cap.bound_capacity(3, "lower", 0.2)
     with pytest.raises(ValueError):
-        cap.bound_channel(3, "upper", 0.2)
+        cap.bound_capacity(3, "upper", 0.2)
 
 
 def test_bound_upper_3_matches_closed_form_along_the_curve():
     for p_s in np.linspace(1.0 / 3.0, 1.0, 41):
-        got = cap.channel_capacity(cap.bound_channel(3, "upper", p_s)).capacity_bits
+        got = cap.channel_capacity(bound_channel(3, "upper", p_s)).capacity_bits
         assert abs(got - split_channel_capacity_3(p_s)) < 1e-9, p_s
+        assert abs(cap.bound_capacity(3, "upper", p_s)
+                   - split_channel_capacity_3(p_s)) < 1e-12, p_s
 
 
 def test_upper_bound_dominates_lower():
     for p_s in np.linspace(0.75, 1.0, 11):
-        lo = cap.channel_capacity(cap.bound_channel(4, "lower", p_s)).capacity_bits
-        hi = cap.channel_capacity(cap.bound_channel(4, "upper", p_s)).capacity_bits
+        lo = cap.channel_capacity(bound_channel(4, "lower", p_s)).capacity_bits
+        hi = cap.channel_capacity(bound_channel(4, "upper", p_s)).capacity_bits
         assert hi >= lo - 1e-9
 
 
@@ -411,9 +419,10 @@ def test_fano_bound_is_the_lower_curve():
               3: np.linspace(1.0 / 3.0, 1.0, 41)}
     for n, ps in points.items():
         for p_s in ps:
-            lower = cap.bound_channel(n, "lower", p_s)
+            lower = bound_channel(n, "lower", p_s)
             assert abs(cap.channel_capacity(lower).capacity_bits
                        - _fano_bound(p_s, n)) < 1e-9, (n, p_s)
+            assert abs(cap.bound_capacity(n, "lower", p_s) - _fano_bound(p_s, n)) < 1e-12
             # uniform noise meets Fano's inequality with equality
             uniform_mi = cap.mutual_information(np.full(n, 1.0 / n), lower)
             assert abs(uniform_mi - _fano_bound(p_s, n)) < 1e-12, (n, p_s)
@@ -449,8 +458,8 @@ def test_fano_lower_bound_on_model_channels(settings_list):
 
 
 def test_reported_point_containment():
-    lo = cap.channel_capacity(cap.bound_channel(4, "lower", 0.948)).capacity_bits
-    hi = cap.channel_capacity(cap.bound_channel(4, "upper", 0.948)).capacity_bits
+    lo = cap.channel_capacity(bound_channel(4, "lower", 0.948)).capacity_bits
+    hi = cap.channel_capacity(bound_channel(4, "upper", 0.948)).capacity_bits
     assert lo <= 1.630 <= hi
     assert abs(lo - 1.6227) < 1e-4
 

@@ -389,6 +389,21 @@ def test_bounds_three_message_json(capsys):
     assert abs(upper[0][1] - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("encoding", ["3", "4"])
+def test_bounds_runs_no_solver(capsys, monkeypatch, encoding):
+    # both curves have exact capacities, so no channel is solved
+    argv = ("bounds", "--encoding", encoding, "--format", "json")
+    rc, want, _ = run_cli(capsys, *argv)
+    assert rc == 0
+
+    def never(*args, **kwargs):
+        raise AssertionError("bounds must not run the solver")
+
+    monkeypatch.setattr(capacity, "channel_capacity", never)
+    monkeypatch.setattr(capacity, "channel_capacity_stack", never)
+    assert run_cli(capsys, *argv) == (0, want, "")
+
+
 def test_montecarlo_builtin_deterministic(capsys):
     args = ("montecarlo", "--builtin", "all", "--seed", "42", "--format",
             "json")
@@ -608,6 +623,31 @@ def test_printed_capacities_do_not_depend_on_the_blas_kernel(tmp_path):
         assert (proc.returncode, proc.stderr) == (0, ""), kernel
         outputs.append(proc.stdout)
     assert outputs[1:] == [outputs[0]] * 2
+
+
+def test_bounds_do_not_depend_on_numpy_simd_dispatch():
+    # numpy's AVX-512 float64 log and exp round differently from its other
+    # loops; the bound curves are evaluated with math, so they print the
+    # same bytes either way.  analyze still differs (its solver runs numpy's
+    # exp and log), so it is not part of this check.
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    # names numpy was not built to dispatch only raise an ImportWarning, so
+    # the list comes from numpy itself
+    avx512 = [name for name in umath.__cpu_dispatch__
+              if name == "X86_V4" or name.startswith("AVX512")]
+    if not avx512:
+        pytest.skip("this numpy dispatches no AVX-512 loop")
+    for encoding in ("3", "4"):
+        argv = ["-m", "hyperdense.cli", "bounds", "--encoding", encoding,
+                "--resolution", "1000", "--format", "csv"]
+        outputs = []
+        for disabled in ("", " ".join(avx512)):  # empty disables nothing
+            env = {**_package_env(), "NPY_DISABLE_CPU_FEATURES": disabled}
+            proc = subprocess.run([sys.executable, *argv], capture_output=True,
+                                  text=True, env=env)
+            assert (proc.returncode, proc.stderr) == (0, ""), disabled
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1], encoding
 
 
 def test_import_and_every_subcommand_leave_scipy_unloaded(tmp_path):

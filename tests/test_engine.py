@@ -30,7 +30,6 @@ from hyperdense import montecarlo as mc
 from hyperdense.capacity import (
     WARM_UP,
     average_success,
-    bound_channel,
     bound_curve,
     channel_capacity,
     channel_capacity_stack,
@@ -50,6 +49,7 @@ from hyperdense.states import SourceParams, build_source_stack
 from _oracles import (
     analyzer_unitary,
     blahut_arimoto,
+    bound_channel,
     divergences,
     schroedinger_transfer_matrix,
     source_density,
@@ -168,12 +168,17 @@ def test_stacked_capacities_of_random_channels():
 
 
 def test_bound_curves_match_oracle():
+    # bound_curve evaluates closed forms; the solvers, stacked and plain,
+    # solve the bound channels themselves and must agree with them
     for encoding in (4, 3):
         for which in ("lower", "upper"):
             curve = bound_curve(encoding, which, resolution=50)
-            for p_s, c in curve:
-                channel = bound_channel(encoding, which, p_s)
+            channels = np.stack([bound_channel(encoding, which, p_s)
+                                 for p_s in curve[:, 0]])
+            solved = channel_capacity_stack(channels)[0]
+            for channel, c, formula in zip(channels, solved, curve[:, 1]):
                 assert c == blahut_arimoto(channel)[0]
+                assert abs(formula - c) < 1e-12
 
 
 def _reference_draw(scenario: mc.McScenario, i: int) -> dict:

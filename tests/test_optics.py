@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperdense import cli, optics, states
+from hyperdense import montecarlo as mc
 from hyperdense.optics import AccidentalModel, GateParams, TransferMatrix
 from hyperdense.states import Message, SourceParams, SpinOrbitBellLabel
 
@@ -179,6 +180,24 @@ def test_single_group_composability():
     c = optics.transfer_matrix(SourceParams(), gate)
     d = optics.transfer_matrix(SourceParams(0.0, 0.0, 0.0, 0.0, 0.0, 0.0), gate)
     assert np.array_equal(c.probabilities, d.probabilities)
+
+
+def test_source_and_gate_do_not_compose_as_classical_channels():
+    # The analyzer acts on amplitudes, so a source error and a gate error
+    # interfere: the full channel T is not the gate's channel G times the
+    # source's channel S.  Over these draws max|T - G S| has a median of
+    # 4.9e-4 and lies between 6.5e-5 and 1.1e-3.
+    scenario = mc.builtin_scenario("all")
+    assert scenario.seed == 6
+    gaps = []
+    for i in range(200):
+        draw = mc.sample_params(scenario, i)
+        source, gate = draw.source_params(), draw.gate_params()
+        t = optics.transfer_matrix(source, gate).probabilities
+        s = optics.transfer_matrix(source, GateParams()).probabilities
+        g = optics.transfer_matrix(SourceParams(), gate).probabilities
+        gaps.append(np.abs(t - g @ s).max())
+    assert min(gaps) > 1e-5 and np.median(gaps) > 1e-4
 
 
 def test_crosstalk_diagonal_structure():
