@@ -186,6 +186,8 @@ class McScenario:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
         if isinstance(self.active, str):
             raise ValueError("active must be a collection of group names, "
                              f"got the string {self.active!r}")

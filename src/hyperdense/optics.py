@@ -35,14 +35,13 @@ import numpy as np
 
 from .states import (
     _BELL_KETS,
+    _ENCODINGS,
     MESSAGE_LABELS,
     PAIR_SIGNATURES,
-    Message,
     SourceParams,
     _check_fields,
     _number,
     build_source,
-    encoding_operator,
 )
 
 DEFAULT_ACCIDENTAL_FRACTION = 0.00267
@@ -177,10 +176,8 @@ def analyzer_unitary_stack(eps_H, eps_V, phi1, phi2) -> np.ndarray:
     return pbs @ _HOLOGRAM
 
 
-# Built once: one photon's Bell bras after the ideal analyzer, and the
-# Pauli of each message on photon 2's modes.
+# Built once: one photon's Bell bras after the ideal analyzer.
 _READOUT = _BELL_KETS.conj() @ analyzer_unitary(GateParams()).conj().T
-_ENCODINGS = np.array([encoding_operator(m)[:4, :4] for m in Message])
 
 
 def _outer_rows(a: np.ndarray) -> np.ndarray:
@@ -197,14 +194,15 @@ def transfer_matrix_stack(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     p(y|x) for setting k.  Worked in the Heisenberg picture: A = B+ u0+ U
     maps one photon's modes onto the outcomes of the ideal analyzer u0,
     whose Bell kets are the columns of B.  Message x sees W_x = A (x) A
-    k_x, with k_x the Pauli on photon 2, so its 16 pair probabilities are
-    diag(W_x rho W_x+).  Photon 1 is contracted once, photon 2 once per
-    message, each as a product with the outer products of 4-entry rows;
-    pairs are then summed by states.PAIR_SIGNATURES.  The raw matrices
-    must pass check_channel, so an incomplete readout fails here.  Column
-    sums are left as computed, within about 1e-15 of 1, but entries are
-    clipped at 0: rounding leaves some just below it (-1.2e-32 in the
-    ideal channel), a negative probability in print and in the solver.
+    k_x, with k_x = states._ENCODINGS[x] the Pauli on photon 2, so its 16
+    pair probabilities are diag(W_x rho W_x+).  Photon 1 is contracted
+    once, photon 2 once per message, each as a product with the outer
+    products of 4-entry rows; pairs are then summed by
+    states.PAIR_SIGNATURES.  The raw matrices must pass check_channel, so
+    an incomplete readout fails here.  Column sums are left as computed,
+    within about 1e-15 of 1, but entries are clipped at 0: rounding leaves
+    some just below it (-1.2e-32 in the ideal channel), a negative
+    probability in print and in the solver.
     """
     n = len(u)
     a = _READOUT @ u

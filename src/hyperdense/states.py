@@ -31,7 +31,9 @@ SNR read).  MESSAGE_LABELS is the one tuple of message labels.
 
 The source model is written once, for stacks of settings: build_source
 is a one-setting call of build_source_stack, and encoded_ket reads the
-ideal pair kets as rows of the same model.
+ideal pair kets as rows of the same model.  The encoding is written once
+too, as _ENCODINGS, one 4x4 block per message on photon 2's modes, which
+encode, encoded_ket and the analyzer read.
 
 _number is the one check of a scalar knob, shared by every record, file
 line and solver argument of the package, through _check_fields for a record.
@@ -47,11 +49,6 @@ import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
-
-_PAULI_I = np.eye(2, dtype=complex)
-_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
 
 MESSAGE_LABELS = ("Phi+", "Phi-", "Psi+", "Psi-")
 
@@ -214,24 +211,17 @@ def build_source_stack(eps_theta_spin, eps_phi_spin, lambda_spin,
     return rho.reshape(-1, 16, 16)
 
 
-_ENCODING_OPS = {
-    Message.PHI_MINUS: _PAULI_I,
-    Message.PHI_PLUS: _PAULI_Z,
-    Message.PSI_MINUS: _PAULI_X,
-    Message.PSI_PLUS: _PAULI_X @ _PAULI_Z,
-}
-
-
-def encoding_operator(message: Message) -> np.ndarray:
-    """16x16 unitary the sender applies: a Pauli on photon-2 spin only."""
-    pauli = _ENCODING_OPS[Message(message)]
-    return np.kron(np.eye(4, dtype=complex),
-                   np.kron(pauli, np.eye(2, dtype=complex)))
+# Row m is the sender's Pauli for message m on photon 2's spin, with the
+# identity on its orbit, in the (Hl, Hr, Vl, Vr) basis: Z, I, XZ and X
+# for (Phi+, Phi-, Psi+, Psi-), the order of Message.
+_ENCODINGS = np.array([np.kron(pauli, np.eye(2)) for pauli in
+                       ([[1, 0], [0, -1]], np.eye(2), [[0, -1], [1, 0]], [[0, 1], [1, 0]])],
+                      dtype=complex)
 
 
 def encode(rho: np.ndarray, message: Message) -> np.ndarray:
     """Apply the sender's Pauli operation for `message` to the source state."""
-    k = encoding_operator(message)
+    k = np.kron(np.eye(4), _ENCODINGS[Message(message)])
     return k @ np.asarray(rho, dtype=complex) @ k.conj().T
 
 
@@ -239,7 +229,7 @@ def encoded_ket(message: Message) -> np.ndarray:
     """Pure state the receiver sees when `message` rides the ideal source."""
     ideal = _interleave_ket(np.kron(_model_kets("spin", [0.0], [0.0])[0],
                                     _model_kets("orbit", [0.0], [0.0])[0]))
-    return encoding_operator(message) @ ideal
+    return np.kron(np.eye(4), _ENCODINGS[Message(message)]) @ ideal
 
 
 def spin_orbit_decompose(psi: np.ndarray) -> np.ndarray:

@@ -209,6 +209,51 @@ def pbs_phase_channel(phi1: float, phi2: float) -> np.ndarray:
     return _swap_channel(math.sin(0.5 * (phi1 + phi2)) ** 2, (0, 1))
 
 
+def crosstalk_channel(eps_H: float, eps_V: float, phi1: float = 0.0,
+                      phi2: float = 0.0) -> np.ndarray:
+    """Channel of the ideal source through PBS crosstalk and reflection phases.
+
+    Against the ideal analyzer, each photon's PBS acts on its orbit alone,
+    conditioned on its polarization: a real rotation with cos = sqrt(1 -
+    eps_H) for H, and for V e^(i (phi1 + phi2)/2) times the rotation with
+    cos = sqrt(1 - eps_V) whose diagonal carries e^(+-i delta), delta =
+    (phi1 - phi2)/2.  Acting on the orbit pair (|lr> + |rl>)/sqrt(2):
+
+    * Phi messages, both photons in one polarization: the pair keeps an
+      amplitude a = 1 - 2 eps_H (H) or b = 1 - 2 eps_V (V) and moves
+      2 s_H, s_H = sqrt(eps_H (1 - eps_H)), to (|ll> - |rr>)/sqrt(2), or
+      2 s_V to the phased e^(i delta)|ll> - e^(-i delta)|rr>, which reads as
+      a Psi message.  The H and V terms recombine with the relative phase
+      Phi = phi1 + phi2: Phi+ goes to ((a^2 + b^2 +- 2 a b cos Phi)/4 for
+      Phi+-, s_H^2 + s_V^2 +- 2 s_H s_V cos(delta) cos Phi for Psi+-).
+    * Psi messages, one photon in each polarization: the pair keeps
+      t e^(i delta) + r, t = sqrt((1 - eps_H)(1 - eps_V)), r = sqrt(eps_H
+      eps_V), and with u = sqrt(eps_H (1 - eps_V)), v = sqrt((1 - eps_H)
+      eps_V) leaks u cos(delta) - v and u sin(delta) to the two Phi
+      messages.  Phi = phi1 + phi2 is a global phase here.
+
+    Phi- and Psi- sent read as Phi+ and Psi+ sent with every received sign
+    swapped.  At eps_H = eps_V = 0 this is pbs_phase_channel.
+    """
+    a, b = 1.0 - 2.0 * eps_H, 1.0 - 2.0 * eps_V
+    s_H, s_V = math.sqrt(eps_H * (1.0 - eps_H)), math.sqrt(eps_V * (1.0 - eps_V))
+    t, r = math.sqrt((1.0 - eps_H) * (1.0 - eps_V)), math.sqrt(eps_H * eps_V)
+    u, v = math.sqrt(eps_H * (1.0 - eps_V)), math.sqrt((1.0 - eps_H) * eps_V)
+    big, delta = phi1 + phi2, 0.5 * (phi1 - phi2)
+    phi_same = (a * a + b * b + 2.0 * a * b * math.cos(big)) / 4.0
+    phi_flip = (a * a + b * b - 2.0 * a * b * math.cos(big)) / 4.0
+    psi_plus = s_H * s_H + s_V * s_V + 2.0 * s_H * s_V * math.cos(delta) * math.cos(big)
+    psi_minus = s_H * s_H + s_V * s_V - 2.0 * s_H * s_V * math.cos(delta) * math.cos(big)
+    keep = t * t + r * r + 2.0 * t * r * math.cos(delta)
+    leak = (u * math.cos(delta) - v) ** 2
+    side = (u * math.sin(delta)) ** 2
+    # column x is the message sent
+    return np.array([[phi_same, phi_flip, psi_plus, psi_minus],
+                     [phi_flip, phi_same, psi_minus, psi_plus],
+                     [side, leak, keep, 0.0],
+                     [leak, side, 0.0, keep]]).T
+
+
 def symmetric_capacity(p: np.ndarray) -> float:
     """Capacity in bits of a 4-message channel whose rows are permutations
     of one another, and so are its columns: log2 4 - H(row), reached by

@@ -672,6 +672,30 @@ def test_import_and_every_subcommand_leave_scipy_unloaded(tmp_path):
     assert proc.stdout == "[]\n"
 
 
+def test_common_subcommands_load_neither_scipy_nor_numpy_random(tmp_path):
+    # only montecarlo draws random numbers; numpy loads numpy.random on
+    # first use, so no other subcommand should pay its import
+    params = tmp_path / "params.txt"
+    params.write_text("source.lambda_spin = 0.01\ngate.eps_H = 0.005\n")
+    counts = tmp_path / "counts.csv"
+    counts.write_text(make_counts_csv(signal=500, noise=3))
+    script = (
+        "import contextlib, io, sys\n"
+        "import numpy\n"
+        "eager = 'numpy.random' in sys.modules\n"
+        "from hyperdense import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(sys.argv[1:]) == 0, sys.argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+        "             or (m == 'numpy.random' and not eager)))\n")
+    for argv in (["simulate", "--params", str(params)], ["analyze", str(counts)],
+                 ["bounds"], ["decompose", "Psi-"]):
+        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                              text=True, env=_package_env())
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+        assert proc.stdout == "[]\n", argv
+
+
 def test_console_entry_point():
     target = _console_script_target("hyperdense")
     module_name, _, attr = target.partition(":")

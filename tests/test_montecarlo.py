@@ -12,7 +12,7 @@ from hyperdense.cli import load_scenario, parse_scenario_text, render_table
 from hyperdense.optics import DEFAULT_ACCIDENTAL_FRACTION, GateParams, transfer_matrix
 from hyperdense.states import SourceParams
 
-from _oracles import source_channel, symmetric_capacity
+from _oracles import blahut_arimoto, crosstalk_channel, source_channel, symmetric_capacity
 
 
 def test_standard_normals_are_deterministic():
@@ -86,6 +86,10 @@ def test_scenario_validation_errors():
             mc.ParamDistribution(*args)
     d = mc.ParamDistribution(np.float32(0.5), 1)
     assert (d, type(d.mean), type(d.sigma)) == (mc.ParamDistribution(0.5, 1.0), float, float)
+    # a name that is not a string would print as a number, or not at all
+    for name in (None, 123):
+        with pytest.raises(ValueError, match=f"name must be a string, got {name}"):
+            mc.McScenario(name, {"accidentals"}, {}, 3, 1)
     # a string is one group name, not a collection of them
     with pytest.raises(ValueError, match="active must be a collection of group names"):
         mc.McScenario("bad", "accidentals")
@@ -363,3 +367,18 @@ def test_symmetric_builtins_match_the_closed_form_capacity():
                                d.accidental_fraction)
             assert abs(result.capacity_bits[i] - symmetric_capacity(p)) <= 1e-10, (name, i)
             assert abs(result.success_probability[i] - np.trace(p) / 4.0) < 1e-14
+
+
+def test_crosstalk_builtin_matches_the_closed_form_channel():
+    # the builtin draws no phases and leaves the source ideal, so each draw
+    # is crosstalk_channel at zero phases; both capacity solves stop within
+    # tol_bits = 1e-10 below its capacity
+    scenario = mc.builtin_scenario("crosstalk")
+    result = mc.run(scenario)
+    for i in range(scenario.iterations):
+        d = mc.sample_params(scenario, i)
+        assert d.source_params() == SourceParams()
+        assert (d.phi1, d.phi2, d.accidental_fraction) == (0.0, 0.0, 0.0)
+        p = crosstalk_channel(d.eps_H, d.eps_V)
+        assert abs(result.capacity_bits[i] - blahut_arimoto(p)[0]) <= 1e-10, i
+        assert abs(result.success_probability[i] - np.trace(p) / 4.0) < 1e-14

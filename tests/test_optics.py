@@ -13,7 +13,7 @@ from hyperdense import montecarlo as mc
 from hyperdense.optics import AccidentalModel, GateParams, TransferMatrix
 from hyperdense.states import Message, SourceParams, SpinOrbitBellLabel
 
-from _oracles import pair_flip_probability, pbs_phase_channel, source_channel
+from _oracles import crosstalk_channel, pair_flip_probability, pbs_phase_channel, source_channel
 
 _DEG = math.pi / 180.0
 _SQRT2 = math.sqrt(2.0)
@@ -336,6 +336,15 @@ def test_closed_forms_at_hand_worked_points():
     assert np.allclose(np.diag(noisy), 0.85, rtol=0, atol=1e-15)
     assert abs(pbs_phase_channel(0.4, 0.5)[1, 0] - 0.189195) < 1e-6
     assert np.array_equal(pbs_phase_channel(0.4, 0.5)[2:, 2:], np.eye(2))
+    # Phi+ sent through balanced and unbalanced crosstalk
+    assert np.allclose(crosstalk_channel(0.2, 0.2)[:, 0], [0.36, 0.0, 0.64, 0.0],
+                       rtol=0, atol=1e-15)
+    # (s_H +- s_V)^2 = 0.3 +- 0.6 sqrt(0.21), about 0.575 and 0.025
+    cross = 0.6 * math.sqrt(0.21)
+    assert np.allclose(crosstalk_channel(0.1, 0.3)[:, 0], [0.36, 0.04, 0.3 + cross, 0.3 - cross],
+                       rtol=0, atol=1e-15)
+    assert np.allclose(crosstalk_channel(0.0, 0.0, 0.4, 0.5), pbs_phase_channel(0.4, 0.5),
+                       rtol=0, atol=1e-15)
 
 
 @settings(max_examples=100, deadline=None)
@@ -369,4 +378,26 @@ def test_pbs_phase_channels_match_the_closed_form(phases):
         want = pbs_phase_channel(a, b)
         assert np.max(np.abs(p[k] - want)) < 1e-14
         t = optics.transfer_matrix(gate=GateParams(phi1=a, phi2=b))
+        assert np.max(np.abs(t.probabilities - want)) < 1e-14
+
+
+_GATE_SETTING = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                          st.floats(-2 * math.pi, 2 * math.pi),
+                          st.floats(-2 * math.pi, 2 * math.pi))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_GATE_SETTING, min_size=1, max_size=8))
+def test_crosstalk_channels_match_the_closed_form(gates):
+    # each setting with its phases and again with zero phases, on the ideal source
+    gates = [g for eps_H, eps_V, phi1, phi2 in gates
+             for g in ((eps_H, eps_V, phi1, phi2), (eps_H, eps_V, 0.0, 0.0))]
+    n = len(gates)
+    p = optics.transfer_matrix_stack(
+        states.build_source_stack(*np.zeros((6, n))),
+        optics.analyzer_unitary_stack(*np.array(gates).T))
+    for k, gate in enumerate(gates):
+        want = crosstalk_channel(*gate)
+        assert np.max(np.abs(p[k] - want)) < 1e-14
+        t = optics.transfer_matrix(gate=GateParams(*gate))
         assert np.max(np.abs(t.probabilities - want)) < 1e-14
