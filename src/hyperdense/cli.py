@@ -38,8 +38,6 @@ _SCENARIO_KEYS = {"name": str, "active": str, "iterations": int, "seed": int,
                   **{f"{p.key}.{kind}": float for p in mc.PARAMS
                      for kind in ("mean", "sigma")}}
 
-_FORMATS = ("json", "csv", "table")
-
 
 def parse_key_values(text: str, keys: dict, build):
     """The record ``build(values)`` of flat ``key = value`` lines.
@@ -95,10 +93,6 @@ def _records(values: dict) -> tuple:
             params.accidental_model())
 
 
-def _parse_params(text: str) -> tuple:
-    return parse_key_values(text, _PARAMS_FILE_KEYS, _records)
-
-
 def load_params(path) -> tuple:
     """Read a flat key=value parameter file with the keys of mc.PARAMS.
 
@@ -106,7 +100,8 @@ def load_params(path) -> tuple:
     default to the ideal apparatus with no accidentals.  A value that the
     record built from its line alone rejects fails with that line.
     """
-    return parse_file(path, _parse_params)
+    return parse_file(
+        path, lambda text: parse_key_values(text, _PARAMS_FILE_KEYS, _records))
 
 
 def _groups(text: str) -> frozenset:
@@ -123,8 +118,7 @@ def _scenario(values: dict) -> mc.McScenario:
     return mc.McScenario(name=values.get("name", "custom"),
                          active=_groups(values.get("active", "")),
                          distributions=dists,
-                         iterations=values.get("iterations", mc.DEFAULT_ITERATIONS),
-                         seed=values.get("seed", mc.DEFAULT_SEED))
+                         **{k: values[k] for k in ("iterations", "seed") if k in values})
 
 
 def parse_scenario_text(text: str) -> mc.McScenario:
@@ -241,8 +235,7 @@ def _capacity(t) -> cap.CapacityResult:
 # --- simulate ----------------------------------------------------------------
 
 def _cmd_simulate(args) -> str:
-    source, gate, accidentals = (
-        load_params(args.params) if args.params else _parse_params(""))
+    source, gate, accidentals = load_params(args.params) if args.params else _records({})
     t = optics.apply_accidentals(optics.transfer_matrix(source, gate),
                                  accidentals)
     result = _capacity(t)
@@ -456,35 +449,37 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="hyperdense",
         description="Hyperentanglement-assisted superdense coding: simulation "
                     "and capacity analysis.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", metavar="PATH",
-                        help="write output to PATH instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", parents=[common],
-                       help="transfer matrix and capacity for one setting")
+    def command(name, handler, default_format, help):
+        # the shared options go on each subparser, not on a parent parser:
+        # subparsers share a parent's actions, so one --format default
+        # set there would be every subcommand's
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--out", metavar="PATH",
+                       help="write output to PATH instead of stdout")
+        p.add_argument("--format", choices=("json", "csv", "table"),
+                       default=default_format)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("simulate", _cmd_simulate, "json",
+                "transfer matrix and capacity for one setting")
     p.add_argument("--params", metavar="FILE",
                    help="key=value imperfection parameters (default: ideal)")
-    p.add_argument("--format", choices=_FORMATS, default="json")
-    p.set_defaults(handler=_cmd_simulate)
 
-    p = sub.add_parser("analyze", parents=[common],
-                       help="aggregate a 4x16 counts table")
+    p = command("analyze", _cmd_analyze, "json", "aggregate a 4x16 counts table")
     p.add_argument("counts", metavar="COUNTS_CSV")
-    p.add_argument("--format", choices=_FORMATS, default="json")
-    p.set_defaults(handler=_cmd_analyze)
 
-    p = sub.add_parser("bounds", parents=[common],
-                       help="capacity bound curves")
+    p = command("bounds", _cmd_bounds, "csv", "capacity bound curves")
     p.add_argument("--encoding", type=int, choices=(3, 4), default=4)
     p.add_argument("--resolution", type=int, default=50)
-    p.add_argument("--format", choices=_FORMATS, default="csv")
-    p.set_defaults(handler=_cmd_bounds)
 
-    p = sub.add_parser("montecarlo", parents=[common],
-                       help="imperfection budget Monte Carlo")
+    p = command("montecarlo", _cmd_montecarlo, "table",
+                "imperfection budget Monte Carlo")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--builtin", choices=(*mc.BUILTIN_NAMES, "full"),
+    group.add_argument("--builtin",
+                       choices=[s.name for s in mc.default_scenarios()] + ["full"],
                        help="builtin scenario; 'full' runs all five plus "
                             "the naive-budget comparison")
     group.add_argument("--scenario", metavar="FILE",
@@ -494,16 +489,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted for compatibility; iterations always run "
                         "serially and any value gives identical results")
-    p.add_argument("--format", choices=_FORMATS, default="table")
-    p.set_defaults(handler=_cmd_montecarlo)
 
-    p = sub.add_parser("decompose", parents=[common],
-                       help="spin-orbit Bell amplitudes of a state")
+    p = command("decompose", _cmd_decompose, "table",
+                "spin-orbit Bell amplitudes of a state")
     p.add_argument("state", metavar="STATE",
                    help="message label (Phi+, Phi-, Psi+, Psi-), a file of 16 "
                         "complex amplitudes, or an inline comma-separated list")
-    p.add_argument("--format", choices=_FORMATS, default="table")
-    p.set_defaults(handler=_cmd_decompose)
     return parser
 
 

@@ -50,7 +50,8 @@ _MASK64 = (1 << 64) - 1
 class ParamDistribution:
     """Normal distribution for one imperfection knob, in file units.
 
-    Draws are clamped to the knob's range in PARAMS.
+    Draws are clamped to the knob's range in PARAMS, and McScenario
+    requires the mean to lie in it.
     """
 
     mean: float
@@ -175,8 +176,9 @@ class McScenario:
     A knob of an active group without an explicit distribution sits at
     its default in PARAMS (zero, except the accidental fraction, which
     sits at its characterized value).  Inactive groups are forced to
-    ideal regardless of the provided distributions.  Once checked,
-    ``distributions`` is a read-only copy of the mapping given.
+    ideal regardless of the provided distributions.  Each distribution's
+    mean lies in its knob's clamp.  Once checked, ``distributions`` is a
+    read-only copy of the mapping given.
     """
 
     name: str
@@ -197,15 +199,17 @@ class McScenario:
             raise ValueError(
                 f"unknown imperfection groups {sorted(unknown_groups)}; "
                 f"valid groups: {list(IMPERFECTION_GROUPS)}")
-        valid_params = [p.key for p in PARAMS]
-        unknown_params = set(self.distributions) - set(valid_params)
+        clamps = {p.key: p.clamp for p in PARAMS}
+        unknown_params = set(self.distributions) - set(clamps)
         if unknown_params:
             raise ValueError(
                 f"unknown parameters {sorted(unknown_params)}; "
-                f"valid parameters: {valid_params}")
+                f"valid parameters: {list(clamps)}")
         for key, d in self.distributions.items():
             if not isinstance(d, ParamDistribution):
                 raise ValueError(f"{key} must be a ParamDistribution, got {d!r}")
+            # a mean past the clamp would put every draw on the clamp's edge
+            _number(f"{key} mean", d.mean, *clamps[key])
         for name in ("iterations", "seed"):
             object.__setattr__(self, name, _number(name, getattr(self, name), *_INT_RANGES[name], kind=int))
         object.__setattr__(self, "distributions", MappingProxyType(dict(self.distributions)))
@@ -222,12 +226,12 @@ _BUILTINS = {name: McScenario(name, active, {p.key: p.budget for p in PARAMS
                                              if p.group in active and p.budget is not None})
              for name, active in zip(("spin", "orbit", "crosstalk", "accidentals", "all"),
                                      [{g} for g in IMPERFECTION_GROUPS] + [set(IMPERFECTION_GROUPS)])}
-BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def default_scenarios() -> list:
-    """The builtin scenarios of the characterized imperfection budget, in
-    BUILTIN_NAMES order: a new list of the same shared, read-only values."""
+    """The builtin scenarios of the characterized imperfection budget, one
+    per group and then all groups: a new list of the same shared, read-only
+    values."""
     return list(_BUILTINS.values())
 
 
@@ -235,7 +239,7 @@ def builtin_scenario(name: str) -> McScenario:
     """The builtin scenario called ``name`` (see default_scenarios)."""
     if name not in _BUILTINS:
         raise ValueError(f"unknown builtin scenario {name!r}; valid names: "
-                         f"{list(BUILTIN_NAMES)}")
+                         f"{list(_BUILTINS)}")
     return _BUILTINS[name]
 
 

@@ -158,12 +158,19 @@ def test_unwritable_out_path_is_an_error(capsys, tmp_path, out):
     ("--scenario", "iterations = 3\nseed = 18446744073709551616\n",
      "line 2: seed: seed must lie in [-9223372036854775808, 18446744073709551615], "
      "got 18446744073709551616"),
+    # a mean past the knob's clamp would put every draw on the clamp's edge
+    ("--scenario", "active = source-spin\nsource.lambda_spin.mean = 5\n",
+     "line 2: source.lambda_spin.mean: source.lambda_spin mean must lie in "
+     "[0.0, 1.0], got 5.0"),
+    ("--scenario", "active = pbs-crosstalk\ngate.eps_H.mean = -3\n",
+     "line 2: gate.eps_H.mean: gate.eps_H mean must lie in [0.0, 1.0], got -3.0"),
 ], ids=["params-nan", "params-inf-phase", "params-repeat", "scenario-inf-sigma",
         "scenario-inf-mean", "scenario-nan-mean", "scenario-repeat",
         "scenario-bad-int", "params-range", "params-accidentals-range",
         "scenario-negative-sigma", "scenario-zero-iterations",
         "scenario-huge-iterations", "scenario-unknown-group",
-        "scenario-huge-seed"])
+        "scenario-huge-seed", "scenario-mean-above-clamp",
+        "scenario-mean-below-clamp"])
 def test_bad_numbers_and_repeated_keys_name_file_and_line(capsys, tmp_path,
                                                           option, text, message):
     path = tmp_path / "input.txt"
@@ -402,6 +409,19 @@ def test_bounds_runs_no_solver(capsys, monkeypatch, encoding):
     monkeypatch.setattr(capacity, "channel_capacity", never)
     monkeypatch.setattr(capacity, "channel_capacity_stack", never)
     assert run_cli(capsys, *argv) == (0, want, "")
+
+
+@pytest.mark.parametrize("name", [s.name for s in mc.default_scenarios()] + ["full"])
+def test_builtin_choices_are_the_builtin_table_and_full(name):
+    args = cli._build_parser().parse_args(["montecarlo", "--builtin", name])
+    assert (args.builtin, args.handler) == (name, cli._cmd_montecarlo)
+
+
+def test_unknown_builtin_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli._build_parser().parse_args(["montecarlo", "--builtin", "everything"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'everything'" in capsys.readouterr().err
 
 
 def test_montecarlo_builtin_deterministic(capsys):

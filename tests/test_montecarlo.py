@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -78,6 +79,17 @@ def test_scenario_validation_errors():
                       {"source.eps_theta_spin": mc.ParamDistribution(1.0)})
     with pytest.raises(ValueError, match="iterations"):
         mc.McScenario("bad", iterations=0)
+    # a mean past the knob's clamp would put every draw on the clamp's edge
+    for key, mean, clamp in [("source.lambda_spin", 5.0, "[0.0, 1.0]"),
+                             ("gate.eps_H", -3.0, "[0.0, 1.0]"),
+                             ("accidentals.fraction", 0.995, "[0.0, 0.99]"),
+                             ("gate.phi1_deg", 180.5, "[-180.0, 180.0]")]:
+        with pytest.raises(ValueError, match=re.escape(
+                f"{key} mean must lie in {clamp}, got {mean}")):
+            mc.McScenario("bad", distributions={key: mc.ParamDistribution(mean, 0.1)})
+    # the clamp's edges are valid means
+    mc.McScenario("ok", distributions={"source.eps_theta_spin_deg": mc.ParamDistribution(-90),
+                                       "accidentals.fraction": mc.ParamDistribution(0.99)})
     with pytest.raises(ValueError, match="sigma"):
         mc.ParamDistribution(0.0, -1.0)
     for args, name in [(("0.1",), "mean"), ((True,), "mean"), ((None,), "mean"),
@@ -305,6 +317,11 @@ source.lambda_orbit.mean = 0.02
                             "accidentals.fraction.sigma = 0.001\n")
     d = s.distributions["accidentals.fraction"]
     assert (d.mean, d.sigma) == (mc.DEFAULT_ACCIDENTAL_FRACTION, 0.001)
+
+    # iterations and seed that the file leaves out are McScenario's own
+    s = parse_scenario_text("active = accidentals\n")
+    assert s == mc.McScenario("custom", {"accidentals"})
+    assert (s.iterations, s.seed) == (mc.DEFAULT_ITERATIONS, mc.DEFAULT_SEED)
 
 
 def test_parse_scenario_text_errors():
