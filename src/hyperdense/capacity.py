@@ -8,7 +8,8 @@ closes every near-ideal channel within WARM_UP iterations; from then on a
 solve still open also tries an over-relaxed step from the same p, and
 takes it only if it leaves the bracket I(p) <= C <= max_x D(x) narrower.
 Every solve stops on that gap, and reports it, so a returned capacity is
-certified to tol_bits.
+certified to TOL_BITS.  Channels are read as p[..., y, x] = p(y | x), the
+layout of optics.TransferMatrix.
 
 bound_capacity bounds the achievable (success probability, capacity)
 region of an n-message encoding, n = 3 or 4, in closed form.  Its lower
@@ -32,6 +33,11 @@ _LN2 = math.log(2.0)
 
 # Most points bound_curve samples on one curve.
 MAX_RESOLUTION = 10_000
+
+# Every solve stops once its bracket is narrower than TOL_BITS, or at its
+# iteration cap, ITERATION_CAP unless the caller sets one.
+TOL_BITS = 1e-10
+ITERATION_CAP = 100_000
 
 
 def _prob_matrix(t) -> np.ndarray:
@@ -58,26 +64,26 @@ def validate_input_distribution(px, n: int) -> np.ndarray:
     return px / total
 
 
-def _divergences(w, log_w, r) -> tuple:
-    """D(x) and I(r) in nats for a stack of channels w[k, x, y] = p(y | x).
+def _divergences(p, log_p, r) -> tuple:
+    """D(x) and I(r) in nats for a stack of channels p[k, y, x] = p(y | x).
 
-    log_w is ln w, 0 where w = 0, and r has shape (k, m).  D(x) =
-    sum_y w[x, y] (ln w[x, y] - ln q(y)) with q = sum_x r(x) w[x], taking
-    ln q as 0 where q = 0 (no input in r reaches that output); returns d of
-    shape (k, m) and I(r) = sum_x r(x) D(x) of shape (k,).  Every sum is a
-    numpy reduction, not a matmul, so no BLAS kernel sets its rounding.
+    log_p is ln p, 0 where p = 0, and r has shape (k, m).  D(x) =
+    sum_y p(y | x) (ln p(y | x) - ln q(y)) with q(y) = sum_x r(x) p(y | x),
+    taking ln q as 0 where q = 0 (no input in r reaches that output); returns
+    d of shape (k, m) and I(r) = sum_x r(x) D(x) of shape (k,).  Every sum is
+    a numpy reduction, not a matmul, so no BLAS kernel sets its rounding.
     """
-    q = (r[:, :, None] * w).sum(axis=1)
+    q = (r[:, None, :] * p).sum(axis=2)
     np.log(q, out=q, where=q > 0.0)
-    d = (w * (log_w - q[:, None])).sum(axis=2)
+    d = (p * (log_p - q[:, :, None])).sum(axis=1)
     return d, (r * d).sum(axis=1)
 
 
-def _step(w, log_w, r, ascent) -> tuple:
+def _step(p, log_p, r, ascent) -> tuple:
     """The point r exp(ascent) / norm, with its D(x) and I: (r, d, low)."""
     r = r * np.exp(ascent)
     r /= r.sum(axis=1, keepdims=True)
-    return (r, *_divergences(w, log_w, r))
+    return (r, *_divergences(p, log_p, r))
 
 
 def mutual_information(px, t) -> float:
@@ -86,10 +92,9 @@ def mutual_information(px, t) -> float:
     Zero-probability terms contribute zero (0*log 0 = 0 convention).  This
     is the solver's own I(p), from the same divergences D(x).
     """
-    p = _prob_matrix(t)
-    px = validate_input_distribution(px, p.shape[1])
-    w = np.ascontiguousarray(p).T[None]  # w[0, x, y] = p(y | x), as in the solver
-    low = _divergences(w, np.log(np.where(w > 0.0, w, 1.0)), px[None])[1]
+    p = np.ascontiguousarray(_prob_matrix(t))[None]  # in C order, as in the solver
+    px = validate_input_distribution(px, p.shape[2])
+    low = _divergences(p, np.log(np.where(p > 0.0, p, 1.0)), px[None])[1]
     return float(low[0] / _LN2)
 
 
@@ -108,21 +113,20 @@ class CapacityResult:
     gap_bits: float
 
 
-def channel_capacity(t, tol_bits: float = 1e-10,
-                     max_iterations: int = 100_000) -> CapacityResult:
+def channel_capacity(t, max_iterations: int = ITERATION_CAP) -> CapacityResult:
     """Channel capacity in bits via Blahut-Arimoto.
 
     Alternates the backward step q(x|y) proportional to p(x) p(y|x) with
     the input update p(x) proportional to exp(sum_y p(y|x) ln q(x|y)).
     The per-iteration bracket I(p) <= C <= max_x D(x) gives a stopping
-    rule: iterate until the gap falls below tol_bits.  From iteration
+    rule: iterate until the gap falls below TOL_BITS.  From iteration
     WARM_UP on, an over-relaxed step is taken instead wherever it leaves
     a narrower gap than the plain step.  If the iteration cap is hit
     first, the current point is returned with converged=False.  This is
     channel_capacity_stack on one channel.
     """
     caps, r, iterations, converged, gaps = channel_capacity_stack(
-        _prob_matrix(t)[None], tol_bits, max_iterations)
+        _prob_matrix(t)[None], max_iterations)
     return CapacityResult(float(caps[0]), r[0], int(iterations[0]),
                           bool(converged[0]), float(gaps[0]))
 
@@ -133,8 +137,7 @@ WARM_UP = 64
 _MAX_RELAXATION = 64.0
 
 
-def channel_capacity_stack(p, tol_bits: float = 1e-10,
-                           max_iterations: int = 100_000) -> tuple:
+def channel_capacity_stack(p, max_iterations: int = ITERATION_CAP) -> tuple:
     """channel_capacity for a stack of channels p[k, y, x], shape (n, m, m).
 
     Runs the Blahut-Arimoto update on every channel at once, from one
@@ -151,17 +154,14 @@ def channel_capacity_stack(p, tol_bits: float = 1e-10,
     of shape (n,), (n, m), (n,), (n,) and (n,); the channels are not
     checked.
     """
-    tol_bits = _number("tol_bits", tol_bits)
-    if tol_bits <= 0.0:
-        raise ValueError(f"tol_bits must be positive, got {tol_bits}")
     max_iterations = _number("max_iterations", max_iterations, 1, kind=int)
-    # w[k, x, y] = p(y | x), a view of p in C order whatever order p came in:
-    # numpy's sums and products round by memory layout, so this keeps a
-    # channel's result independent of the stack it is solved in
-    w = np.swapaxes(np.ascontiguousarray(p, dtype=float), 1, 2)
-    n, m = w.shape[:2]
-    # log 1 = 0 where w = 0, so those terms in D are 0 * finite = 0
-    log_w = np.log(np.where(w > 0.0, w, 1.0))
+    # p in C order whatever order it came in: numpy's sums and products round
+    # by memory layout, so this keeps a channel's result independent of the
+    # stack it is solved in
+    p = np.ascontiguousarray(p, dtype=float)
+    n, m = p.shape[:2]
+    # log 1 = 0 where p = 0, so those terms in D are 0 * finite = 0
+    log_p = np.log(np.where(p > 0.0, p, 1.0))
 
     i_low, gaps = np.empty((2, n))
     dists = np.empty((n, m))
@@ -169,12 +169,12 @@ def channel_capacity_stack(p, tol_bits: float = 1e-10,
     converged = np.empty(n, dtype=bool)
     active = np.arange(n)
     r = np.full((n, m), 1.0 / m)
-    d, low = _divergences(w, log_w, r)
+    d, low = _divergences(p, log_p, r)
     mu = np.full(n, 2.0)  # each channel's relaxation
     for it in range(1, max_iterations + 1):
         d_max = d.max(axis=1)
         gap = d_max - low
-        closed = gap < tol_bits * _LN2
+        closed = gap < TOL_BITS * _LN2
         done = closed | (it == max_iterations)
         if done.any():
             leaving = active[done]
@@ -183,15 +183,15 @@ def channel_capacity_stack(p, tol_bits: float = 1e-10,
             dists[leaving] = r[done]
             iterations[leaving] = it
             converged[leaving] = closed[done]
-            active, w, log_w, r, d, d_max, low, gap, mu = (
-                v[~done] for v in (active, w, log_w, r, d, d_max, low, gap, mu))
+            active, p, log_p, r, d, d_max, low, gap, mu = (
+                v[~done] for v in (active, p, log_p, r, d, d_max, low, gap, mu))
         if not active.size:
             break
         ascent = d - d_max[:, None]
-        point = _step(w, log_w, r, ascent)  # the plain step
+        point = _step(p, log_p, r, ascent)  # the plain step
         if it >= WARM_UP:
             # the relaxed step from the same r, taken where its gap is smaller
-            relaxed = _step(w, log_w, r, mu[:, None] * ascent)
+            relaxed = _step(p, log_p, r, mu[:, None] * ascent)
             better = relaxed[1].max(axis=1) - relaxed[2] < point[1].max(axis=1) - point[2]
             for v, v_relaxed in zip(point, relaxed):
                 v[better] = v_relaxed[better]

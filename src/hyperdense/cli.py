@@ -78,11 +78,11 @@ def parse_key_values(text: str, keys: dict, build):
 
 
 def parse_file(path, parse):
-    """parse(text of the file at path); a ValueError from parse names the path."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """parse(text of the file at path); a ValueError from decoding the file or
+    from parse names the path."""
     try:
-        return parse(text)
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

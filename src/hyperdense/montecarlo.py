@@ -32,7 +32,6 @@ import numpy as np
 
 from .capacity import _mean_diagonal, channel_capacity_stack
 from .optics import (
-    DEFAULT_ACCIDENTAL_FRACTION,
     AccidentalModel,
     GateParams,
     _mix_accidentals,
@@ -44,6 +43,9 @@ from .states import SourceParams, _number, build_source_stack
 IDEAL_CAPACITY_BITS = 2.0
 
 _MASK64 = (1 << 64) - 1
+
+# The characterized accidental-coincidence fraction of the budget below.
+DEFAULT_ACCIDENTAL_FRACTION = 0.00267
 
 
 @dataclass(frozen=True)

@@ -44,8 +44,6 @@ from .states import (
     build_source,
 )
 
-DEFAULT_ACCIDENTAL_FRACTION = 0.00267
-
 
 @dataclass(frozen=True)
 class GateParams:
@@ -68,7 +66,7 @@ class AccidentalModel:
     four outcomes: p'(y|x) = (1-fraction)*p(y|x) + fraction/4.
     """
 
-    fraction: float = DEFAULT_ACCIDENTAL_FRACTION
+    fraction: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "fraction", _number("accidental fraction", self.fraction))

@@ -45,7 +45,6 @@ import enum
 import itertools
 import math
 import numbers
-import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -61,12 +60,12 @@ def _number(name: str, value, lo=-math.inf, hi=math.inf, kind=float):
     value out of range.
     """
     if kind is int:
-        ok, wanted = hasattr(value, "__index__"), "an integer"
+        ok, wanted = isinstance(value, numbers.Integral), "an integer"
     else:
         ok, wanted = isinstance(value, numbers.Real), "a real number"
     if isinstance(value, bool) or not ok:
         raise ValueError(f"{name} must be {wanted}, got {value!r}")
-    v = operator.index(value) if kind is int else float(value)
+    v = int(value) if kind is int else float(value)
     if kind is float and not math.isfinite(v):
         raise ValueError(f"{name} must be finite, got {v}")
     if not lo <= v <= hi:

@@ -56,25 +56,27 @@ def test_raw_channels_are_checked():
         cap.channel_capacity(np.zeros((0, 0)))
 
 
-@pytest.mark.parametrize("knobs, message", [
-    ({"max_iterations": 0}, r"max_iterations must lie in \[1, inf\], got 0"),
-    ({"max_iterations": -1}, r"max_iterations must lie in \[1, inf\], got -1"),
-    ({"tol_bits": math.nan}, "tol_bits must be finite, got nan"),
-    ({"tol_bits": math.inf}, "tol_bits must be finite, got inf"),
-    ({"tol_bits": 0.0}, "tol_bits must be positive, got 0.0"),
-    ({"tol_bits": -1.0}, "tol_bits must be positive, got -1.0"),
-    ({"max_iterations": 2.5}, "max_iterations must be an integer, got 2.5"),
-    ({"max_iterations": 3.0}, "max_iterations must be an integer, got 3.0"),
-    ({"max_iterations": True}, "max_iterations must be an integer, got True"),
-    ({"tol_bits": True}, "tol_bits must be a real number, got True"),
-], ids=["zero-iterations", "negative-iterations", "nan-tol", "inf-tol", "zero-tol",
-        "negative-tol", "fractional-iterations", "float-iterations",
-        "bool-iterations", "bool-tol"])
-def test_solver_knobs_are_checked(knobs, message):
-    with pytest.raises(ValueError, match=message):
-        cap.channel_capacity(np.eye(4), **knobs)
-    with pytest.raises(ValueError, match=message):
-        cap.channel_capacity_stack(np.eye(4)[None], **knobs)
+@pytest.mark.parametrize("max_iterations, message", [
+    (0, r"max_iterations must lie in \[1, inf\], got 0"),
+    (-1, r"max_iterations must lie in \[1, inf\], got -1"),
+    (2.5, "max_iterations must be an integer, got 2.5"),
+    (3.0, "max_iterations must be an integer, got 3.0"),
+    (True, "max_iterations must be an integer, got True"),
+    (np.array([3]), r"max_iterations must be an integer, got array\(\[3\]\)"),
+    (np.array(3), r"max_iterations must be an integer, got array\(3\)"),
+    (1e-10, "max_iterations must be an integer, got 1e-10"),
+], ids=["zero-iterations", "negative-iterations", "fractional-iterations",
+        "float-iterations", "bool-iterations", "array-iterations", "0d-array-iterations",
+        "tolerance-iterations"])
+def test_solver_knobs_are_checked(max_iterations, message):
+    # the cap is the solvers' one argument after the channels, so a
+    # tolerance passed by position is refused, not misread
+    for solve, channels in ((cap.channel_capacity, np.eye(4)),
+                            (cap.channel_capacity_stack, np.eye(4)[None])):
+        with pytest.raises(ValueError, match=message):
+            solve(channels, max_iterations)
+        with pytest.raises(ValueError, match=message):
+            solve(channels, max_iterations=max_iterations)
 
 
 def test_mutual_information_reference_channels():
@@ -189,18 +191,19 @@ def test_capacity_iteration_cap_flags_nonconvergence():
     # symmetric channels close the duality gap on the very first pass, so a
     # skewed channel is needed to observe the iteration cap taking effect
     t = np.array([[0.90, 0.30], [0.10, 0.70]])
-    result = cap.channel_capacity(t, tol_bits=1e-14, max_iterations=1)
+    result = cap.channel_capacity(t, max_iterations=1)
     assert not result.converged
     assert result.iterations == 1
     uncapped = cap.channel_capacity(t)
     assert result.capacity_bits <= uncapped.capacity_bits + 1e-12
-    # at the default tol_bits its gap closes at iteration 42: a solve capped
-    # there closes on its last iteration, one capped at 41 does not
+    # at TOL_BITS its gap closes at iteration 42: a solve capped there
+    # closes on its last iteration, one capped at 41 (a numpy integer, a
+    # cap like any int) does not
     assert uncapped.iterations == 42
     at_cap = cap.channel_capacity(t, max_iterations=42)
     assert at_cap.converged and at_cap.iterations == 42
     assert at_cap.capacity_bits == uncapped.capacity_bits
-    assert not cap.channel_capacity(t, max_iterations=41).converged
+    assert not cap.channel_capacity(t, max_iterations=np.int64(41)).converged
 
 
 def test_empty_stack_returns_at_once(monkeypatch):
@@ -220,7 +223,7 @@ def test_capped_solve_returns_the_point_it_reports():
     p = rng.random((4, 4)) ** 3
     p /= p.sum(axis=0, keepdims=True)
     for max_iterations in (3, cap.WARM_UP + 1, cap.WARM_UP + 2):
-        result = cap.channel_capacity(p, tol_bits=1e-14, max_iterations=max_iterations)
+        result = cap.channel_capacity(p, max_iterations=max_iterations)
         assert not result.converged
         got = cap.mutual_information(result.input_distribution, p)
         assert abs(got - result.capacity_bits) < 1e-12
@@ -248,13 +251,12 @@ def test_relaxation_closes_a_badly_aligned_analyzer_channel():
         [0.25321214203125, 0.228116548671875, 0.276982284296875, 0.249780163125],
         [0.21406910796875, 0.256086576328125, 0.24219896570312502, 0.286322961875],
     ])
-    tol_bits = 1e-10
-    result = cap.channel_capacity(p, tol_bits)
-    plain = blahut_arimoto(p, tol_bits)
+    result = cap.channel_capacity(p)
+    plain = blahut_arimoto(p, cap.TOL_BITS)
     assert result.converged and plain[3]
     assert result.iterations <= 400
     assert plain[2] >= 6_000
-    assert abs(result.capacity_bits - plain[0]) < tol_bits
+    assert abs(result.capacity_bits - plain[0]) < cap.TOL_BITS
 
 
 # tests/test_engine.py's _SETTING ranges, in its order: the source's six knobs,
@@ -488,6 +490,9 @@ def test_bound_curve():
         cap.bound_curve(4, "lower", resolution=1)
     with pytest.raises(ValueError, match="resolution must be an integer, got 2.5"):
         cap.bound_curve(4, "lower", 2.5)
+    with pytest.raises(ValueError, match=r"resolution must be an integer, got array\(\[50\]\)"):
+        cap.bound_curve(4, "lower", np.array([50]))
+    assert len(cap.bound_curve(4, "lower", np.int64(50))) == 50
 
 
 def test_bound_curve_resolution_has_an_upper_limit(monkeypatch):

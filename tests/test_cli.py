@@ -115,6 +115,16 @@ def test_simulate_bad_params_file(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", ["analyze {path}", "simulate --params {path}",
+                                  "montecarlo --scenario {path}", "decompose {path}"])
+def test_input_file_that_is_not_utf8_is_named(capsys, tmp_path, argv):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"a\x81 = 1\n")
+    rc, out, err = run_cli(capsys, *(a.format(path=path) for a in argv.split()))
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0x81")
+
+
 @pytest.mark.parametrize("out", [".", "missing/out.json"])
 def test_unwritable_out_path_is_an_error(capsys, tmp_path, out):
     # a directory, and a file in a directory that does not exist
@@ -341,7 +351,7 @@ def test_uncertified_capacity_is_reported_on_stderr(capsys, monkeypatch, tmp_pat
     solve, results = capacity.channel_capacity, []
 
     def capped(t):
-        results.append(solve(t, tol_bits=1e-14, max_iterations=2))
+        results.append(solve(t, max_iterations=2))
         return results[-1]
 
     monkeypatch.setattr(capacity, "channel_capacity", capped)
@@ -645,16 +655,80 @@ def test_printed_capacities_do_not_depend_on_the_blas_kernel(tmp_path):
     assert outputs[1:] == [outputs[0]] * 2
 
 
+def _avx512_dispatch() -> list:
+    """numpy's AVX-512 dispatch targets, as NPY_DISABLE_CPU_FEATURES names them."""
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    # names numpy was not built to dispatch only raise an ImportWarning, so
+    # the list comes from numpy itself
+    return [name for name in umath.__cpu_dispatch__
+            if name == "X86_V4" or name.startswith("AVX512")]
+
+
+def _assert_json_close(got, want, tol, path="$"):
+    """got has want's JSON structure and values, every float within tol."""
+    assert type(got) is type(want), path
+    if isinstance(want, dict):
+        assert list(got) == list(want), path
+        for key in want:
+            _assert_json_close(got[key], want[key], tol, f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_json_close(g, w, tol, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert abs(got - want) <= tol, (path, got, want)
+    else:
+        assert got == want, path
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+def test_kernel_dependent_outputs_agree_to_rounding(tmp_path):
+    # the analyzer's matmuls round by OpenBLAS kernel, and the solver's exp
+    # and log by numpy's SIMD loops, so these outputs may move in their last
+    # bits between CPUs; they must not move by more
+    avx512 = " ".join(_avx512_dispatch())
+    params = tmp_path / "params.txt"
+    params.write_text("source.eps_theta_spin_deg = 1.3\nsource.eps_phi_spin_deg = -2.5\n"
+                      "source.lambda_spin = 0.011\nsource.eps_theta_orbit_deg = 1.9\n"
+                      "source.eps_phi_orbit_deg = 4.1\nsource.lambda_orbit = 0.027\n"
+                      "gate.eps_H = 0.006\ngate.eps_V = 0.009\ngate.phi1_deg = 1.5\n"
+                      "gate.phi2_deg = -0.7\naccidentals.fraction = 0.00267\n")
+    counts = tmp_path / "counts.csv"
+    counts.write_text(uneven_counts_csv())
+    argvs = [["simulate", "--params", str(params)], ["analyze", str(counts)],
+             ["montecarlo", "--builtin", "full"]]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from hyperdense import cli\n"
+        "outputs = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    text = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(text):\n"
+        "        assert cli.main(argv + ['--format', 'json']) == 0, argv\n"
+        "    outputs.append(json.loads(text.getvalue()))\n"
+        "print(json.dumps(outputs))\n")
+    outputs = []
+    for setting in ({}, {"OPENBLAS_CORETYPE": "Prescott"},
+                    {"NPY_DISABLE_CPU_FEATURES": avx512}):
+        env = _package_env()
+        env.pop("OPENBLAS_CORETYPE", None)
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        env.update(setting)
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, ""), setting
+        outputs.append(json.loads(proc.stdout))
+    for got in outputs[1:]:
+        _assert_json_close(got, outputs[0], 1e-14)
+
+
 def test_bounds_do_not_depend_on_numpy_simd_dispatch():
     # numpy's AVX-512 float64 log and exp round differently from its other
     # loops; the bound curves are evaluated with math, so they print the
     # same bytes either way.  analyze still differs (its solver runs numpy's
     # exp and log), so it is not part of this check.
-    umath = pytest.importorskip("numpy._core._multiarray_umath")
-    # names numpy was not built to dispatch only raise an ImportWarning, so
-    # the list comes from numpy itself
-    avx512 = [name for name in umath.__cpu_dispatch__
-              if name == "X86_V4" or name.startswith("AVX512")]
+    avx512 = _avx512_dispatch()
     if not avx512:
         pytest.skip("this numpy dispatches no AVX-512 loop")
     for encoding in ("3", "4"):

@@ -28,6 +28,8 @@ from hypothesis import strategies as st
 
 from hyperdense import montecarlo as mc
 from hyperdense.capacity import (
+    ITERATION_CAP,
+    TOL_BITS,
     WARM_UP,
     average_success,
     bound_curve,
@@ -36,7 +38,6 @@ from hyperdense.capacity import (
     mutual_information,
 )
 from hyperdense.optics import (
-    DEFAULT_ACCIDENTAL_FRACTION,
     AccidentalModel,
     GateParams,
     analyzer_unitary_stack,
@@ -107,26 +108,24 @@ def test_stacked_matrices_match_transfer_matrix(settings_list):
         assert np.array_equal(transfer_matrix(source, gate).probabilities, p[k])
 
 
-def _assert_matches_oracle(p, max_iterations=100_000):
-    tol_bits = 1e-10
-    caps, dists, iterations, converged, gaps = channel_capacity_stack(
-        p, tol_bits, max_iterations)
+def _assert_matches_oracle(p, max_iterations=ITERATION_CAP):
+    caps, dists, iterations, converged, gaps = channel_capacity_stack(p, max_iterations)
     for k in range(len(p)):
-        want = blahut_arimoto(p[k], tol_bits, max_iterations)
+        want = blahut_arimoto(p[k], TOL_BITS, max_iterations)
         if want[2] <= WARM_UP:
             # the warm-up is the plain loop, converged or capped
             assert (caps[k], iterations[k], converged[k]) == (want[0], *want[2:])
             assert np.array_equal(dists[k], want[1])
         elif want[3]:
             assert converged[k] and iterations[k] <= want[2]
-            assert abs(caps[k] - want[0]) < tol_bits
+            assert abs(caps[k] - want[0]) < TOL_BITS
         # the reported capacity is I at the returned distribution, and the
         # reported gap is its bracket, recomputed here
         assert abs(mutual_information(dists[k], p[k]) - caps[k]) < 1e-12
         upper = divergences(dists[k], p[k]).max()
         assert abs(upper - caps[k] - gaps[k]) < 1e-12
         if converged[k]:
-            assert upper - caps[k] < tol_bits
+            assert upper - caps[k] < TOL_BITS
     return caps, dists, iterations, converged, gaps
 
 
@@ -163,7 +162,7 @@ def test_stacked_capacities_of_random_channels():
         p[:30, m - 1] = 0.0
         p[:, 0] += p.sum(axis=1) == 0.0  # an input left with no output takes output 0
         p /= p.sum(axis=1, keepdims=True)
-        for max_iterations in (3, 40, 400, 100_000):
+        for max_iterations in (3, 40, 400, ITERATION_CAP):
             _assert_matches_oracle(p, max_iterations)
 
 
@@ -193,7 +192,7 @@ def _reference_draw(scenario: mc.McScenario, i: int) -> dict:
                 lo, hi = p.clamp
                 v = min(max(d.mean + d.sigma * float(z[j]), lo), hi)
             elif p.group == "accidentals":
-                v = DEFAULT_ACCIDENTAL_FRACTION
+                v = mc.DEFAULT_ACCIDENTAL_FRACTION
         out[p.field] = math.radians(v) if p.key.endswith("_deg") else v
     return out
 

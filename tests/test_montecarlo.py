@@ -10,7 +10,7 @@ import pytest
 from hyperdense import montecarlo as mc
 from hyperdense.capacity import channel_capacity
 from hyperdense.cli import load_scenario, parse_scenario_text, render_table
-from hyperdense.optics import DEFAULT_ACCIDENTAL_FRACTION, GateParams, transfer_matrix
+from hyperdense.optics import GateParams, transfer_matrix
 from hyperdense.states import SourceParams
 
 from _oracles import blahut_arimoto, crosstalk_channel, source_channel, symmetric_capacity
@@ -67,7 +67,7 @@ def test_inactive_groups_sample_ideal():
 def test_accidental_fraction_defaults_when_active():
     s = mc.McScenario("acc", frozenset({"accidentals"}))
     p = mc.sample_params(s, 0)
-    assert p.accidental_fraction == DEFAULT_ACCIDENTAL_FRACTION
+    assert p.accidental_fraction == mc.DEFAULT_ACCIDENTAL_FRACTION
     assert p.eps_theta_spin == 0.0
 
 
@@ -110,7 +110,8 @@ def test_scenario_validation_errors():
         mc.McScenario("bad", {"source-spin"}, {"source.lambda_spin": (0.1, 0.01)})
     for name, value in [("iterations", 2.5), ("iterations", True),
                         ("iterations", "3"), ("seed", 1.5), ("seed", False),
-                        ("seed", np.float64(2.0))]:
+                        ("seed", np.float64(2.0)), ("iterations", np.array([5])),
+                        ("iterations", np.array(5))]:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             mc.McScenario("bad", **{name: value})
     numpy_ints = mc.McScenario("ok", iterations=np.int32(3), seed=np.uint64(2**64 - 1))
@@ -206,7 +207,7 @@ def test_default_scenarios_are_the_characterized_budget():
              "source.eps_phi_orbit_deg": D(0.0, 5.0),
              "source.lambda_orbit": D(0.03, 0.01)}
     crosstalk = {"gate.eps_H": D(0.005, 0.001), "gate.eps_V": D(0.010, 0.002)}
-    accidentals = {"accidentals.fraction": D(DEFAULT_ACCIDENTAL_FRACTION, 0.0)}
+    accidentals = {"accidentals.fraction": D(mc.DEFAULT_ACCIDENTAL_FRACTION, 0.0)}
     want = [
         mc.McScenario("spin", frozenset({"source-spin"}), spin),
         mc.McScenario("orbit", frozenset({"source-orbit"}), orbit),
@@ -389,7 +390,7 @@ def test_symmetric_builtins_match_the_closed_form_capacity():
 def test_crosstalk_builtin_matches_the_closed_form_channel():
     # the builtin draws no phases and leaves the source ideal, so each draw
     # is crosstalk_channel at zero phases; both capacity solves stop within
-    # tol_bits = 1e-10 below its capacity
+    # capacity.TOL_BITS = 1e-10 below its capacity
     scenario = mc.builtin_scenario("crosstalk")
     result = mc.run(scenario)
     for i in range(scenario.iterations):

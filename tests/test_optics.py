@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -43,6 +44,15 @@ def test_gate_params_validation():
         GateParams(eps_H=True)
     with pytest.raises(ValueError, match="accidental fraction must be a real number, got '0.1'"):
         AccidentalModel(fraction="0.1")
+
+
+def test_records_default_to_the_ideal_apparatus():
+    # the characterized budget lives in montecarlo.PARAMS, not in the records
+    for record in (SourceParams(), GateParams(), AccidentalModel()):
+        assert all(getattr(record, f.name) == 0.0 for f in dataclasses.fields(record))
+    t = optics.transfer_matrix(SourceParams(), GateParams())
+    assert np.array_equal(optics.apply_accidentals(t, AccidentalModel()).probabilities,
+                          np.eye(4))
 
 
 def test_hologram_map():
